@@ -19,7 +19,6 @@ from bandstack.model import (
     FormatError,
     InfeasibleError,
     MultiChannelRecord,
-    SidecarHeader,
     StackedSpectrum,
     TransformConfig,
     ValidationError,
@@ -28,6 +27,7 @@ from bandstack.model import (
     validate_record,
 )
 from bandstack.mapping import apply_stacking, build_band_plan, stack_fast, stack_oracle
+from bandstack.sidecar import SidecarHeader
 from bandstack.transform import RoundtripReport, decode, encode, roundtrip_report
 
 __version__ = "0.1.0"

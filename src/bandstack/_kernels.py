@@ -1,8 +1,8 @@
-"""numpy fallback kernels for the nearest-bin search.
+"""Nearest-bin search kernels for the mapping stage, in numpy.
 
-Semantics are pinned to the compiled lane bit for bit: both lanes receive the
-same precomputed float64 target/grid arrays and apply the same comparison
-rule, so assignments are identical regardless of which lane is active.
+Both kernels receive the same precomputed float64 target/grid arrays and
+apply the same comparison rule, so their assignments are bitwise identical;
+only speed differs.
 
 Tie rule everywhere: among equal |grid[k] - f| the LARGEST k wins (a scan
 that updates on ``<=`` lets later candidates overwrite earlier ones).
@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-LANE = "python"
+
+def active_lane() -> str:
+    """Name of the kernel implementation in use, reported by benchmarks."""
+    return "python"
 
 
 def nearest_indices_scan(targets: np.ndarray, grid: np.ndarray) -> np.ndarray:

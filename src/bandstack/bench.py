@@ -1,11 +1,11 @@
-"""Benchmark harness: brute-force scan vs closed-form mapping, per kernel lane.
+"""Benchmark harness: brute-force scan vs closed-form mapping.
 
-Times how long each available lane (compiled extension, numpy fallback) takes
-to produce the complete band assignment two ways (the exhaustive
-nearest-frequency scan and the O(1)-per-bin fast path) and cross-checks that
-every run produced identical indices. The default size is the 30-channel /
-10 kHz-source / 16 kHz-target configuration, where the scan visits
-p * n * n_out ~ 5e10 grid points; expect it to take on the order of a minute.
+Times how long the numpy kernels take to produce the complete band
+assignment two ways (the exhaustive nearest-frequency scan and the
+O(1)-per-bin fast path) and cross-checks that both runs produced identical
+indices. The default size is the 30-channel / 10000-sample / 1 kHz-source /
+16 kHz-target configuration, where the scan visits p * n * n_out ~ 5e10 grid
+points; expect it to take on the order of a minute.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bandstack._kernels import active_lane, available_lanes
+from bandstack._kernels import active_lane, nearest_indices_fast, nearest_indices_scan
 from bandstack.mapping import destination_grid, stretched_frequencies
 from bandstack.model import ValidationError, output_length
 
@@ -65,12 +65,10 @@ class BenchReport:
 def run_mapping_benchmark(p: int = 30, n_samples: int = 10000,
                           source_rate_hz: float = 1000.0,
                           target_rate_hz: float = 16000.0,
-                          bands=None, lanes=None,
-                          include_scan: bool = True) -> BenchReport:
-    """Time both mapping algorithms over the same band set on each lane.
+                          bands=None, include_scan: bool = True) -> BenchReport:
+    """Time both mapping algorithms over the same band set.
 
-    ``bands`` restricts which bands are computed (default: all p);
-    ``lanes`` names the kernel lanes to time (default: every available one).
+    ``bands`` restricts which bands are computed (default: all p).
     """
     if bands is None:
         bands = tuple(range(p))
@@ -78,14 +76,6 @@ def run_mapping_benchmark(p: int = 30, n_samples: int = 10000,
         bands = tuple(int(b) for b in bands)
         if any(not 0 <= b < p for b in bands):
             raise ValidationError(f"band indices must lie in 0..{p - 1}, got {bands}")
-    all_lanes = available_lanes()
-    if lanes is None:
-        lane_names = list(all_lanes)
-    else:
-        lane_names = list(lanes)
-        unknown = [ln for ln in lane_names if ln not in all_lanes]
-        if unknown:
-            raise ValidationError(f"unknown lanes {unknown}; available: {list(all_lanes)}")
 
     n_out = output_length(n_samples, source_rate_hz, target_rate_hz)
     band_width = target_rate_hz / (2 * p)
@@ -94,25 +84,24 @@ def run_mapping_benchmark(p: int = 30, n_samples: int = 10000,
     targets = [stretched_frequencies(n_samples, source_rate_hz, band_width, b)
                for b in bands]
 
+    lane = active_lane()
     report = BenchReport(p=p, n_samples=n_samples, source_rate_hz=source_rate_hz,
                          target_rate_hz=target_rate_hz, n_out=n_out, bands=bands,
-                         active_lane=active_lane())
+                         active_lane=lane)
+    algos = [("fast", lambda t: nearest_indices_fast(t, grid, step))]
+    if include_scan:
+        algos.append(("scan", lambda t: nearest_indices_scan(t, grid)))
     reference = None
-    for lane_name in lane_names:
-        kernels = all_lanes[lane_name]
-        algos = [("fast", lambda t: kernels.nearest_indices_fast(t, grid, step))]
-        if include_scan:
-            algos.append(("scan", lambda t: kernels.nearest_indices_scan(t, grid)))
-        for algo, fn in algos:
-            start = time.perf_counter()
-            got = [fn(t) for t in targets]
-            report.seconds[(lane_name, algo)] = time.perf_counter() - start
-            if reference is None:
-                reference = got
-            elif not all(np.array_equal(a, b) for a, b in zip(reference, got)):
-                report.assignments_equal = False
-        if include_scan:
-            fast = report.seconds[(lane_name, "fast")]
-            scan = report.seconds[(lane_name, "scan")]
-            report.speedup[lane_name] = scan / fast if fast > 0 else float("inf")
+    for algo, fn in algos:
+        start = time.perf_counter()
+        got = [fn(t) for t in targets]
+        report.seconds[(lane, algo)] = time.perf_counter() - start
+        if reference is None:
+            reference = got
+        elif not all(np.array_equal(a, b) for a, b in zip(reference, got)):
+            report.assignments_equal = False
+    if include_scan:
+        fast = report.seconds[(lane, "fast")]
+        scan = report.seconds[(lane, "scan")]
+        report.speedup[lane] = scan / fast if fast > 0 else float("inf")
     return report

@@ -183,11 +183,9 @@ def cmd_info(args) -> int:
 
 def cmd_bench(args) -> int:
     bands = None if args.bands is None else range(args.bands)
-    lanes = args.lanes.split(",") if args.lanes else None
     report = run_mapping_benchmark(
         p=args.channels, n_samples=args.samples, source_rate_hz=args.rate,
-        target_rate_hz=args.target_rate, bands=bands, lanes=lanes,
-        include_scan=not args.no_scan)
+        target_rate_hz=args.target_rate, bands=bands, include_scan=not args.no_scan)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -263,15 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("path")
     info.set_defaults(func=cmd_info)
 
-    ben = sub.add_parser("bench", help="time brute-force vs closed-form mapping per lane")
+    ben = sub.add_parser("bench", help="time brute-force vs closed-form mapping")
     ben.add_argument("--channels", "-p", type=int, default=30)
     ben.add_argument("--samples", "-n", type=int, default=10000)
     ben.add_argument("--rate", type=float, default=1000.0)
     ben.add_argument("--target-rate", type=float, default=16000.0)
     ben.add_argument("--bands", type=int, default=None,
                      help="only benchmark the first K bands")
-    ben.add_argument("--lanes", default=None,
-                     help="comma-separated kernel lanes (default: all available)")
     ben.add_argument("--no-scan", action="store_true",
                      help="skip the brute-force baseline")
     ben.add_argument("--json", action="store_true")

@@ -30,11 +30,10 @@ from bandstack.model import (
     MODE_PAPER_COMPLEX,
     FormatError,
     MultiChannelRecord,
-    SidecarHeader,
     ValidationError,
     WidebandSignal,
 )
-from bandstack.sidecar import FORMAT_VERSION
+from bandstack.sidecar import FORMAT_VERSION, WIDEBAND_FORMATS, SidecarHeader, read_sidecar
 
 __all__ = [
     "SidecarHeader",
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 RECORD_FORMATS = ("csv", "raw-f64")
-WIDEBAND_FORMATS = ("wav-f32", "raw-f64")
 MATRIX_FORMATS = ("csv", "raw-f64")
 
 
@@ -60,40 +58,27 @@ def _write_sidecar(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_sidecar(path) -> dict:
+def _read_sidecar(path, kind=None) -> dict:
     sc = sidecar_path(path)
     if not os.path.exists(sc):
         raise FormatError(f"missing sidecar {sc}")
     with open(sc, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"sidecar {sc} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"sidecar {sc} must be a JSON object")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported sidecar format_version {payload.get('format_version')!r} "
-            f"(this reader understands {FORMAT_VERSION})")
-    return payload
-
-
-def _check_keys(payload: dict, required: set, optional: set, what: str) -> None:
-    keys = set(payload)
-    unknown = keys - required - optional
-    if unknown:
-        raise FormatError(f"unknown {what} sidecar fields {sorted(unknown)}; refusing to guess")
-    missing = required - keys
-    if missing:
-        raise FormatError(f"{what} sidecar is missing fields {sorted(missing)}")
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"sidecar {sc} is not UTF-8 text: {exc}") from exc
+    return read_sidecar(text, kind)
 
 
 def read_sidecar_file(path) -> dict:
-    """Parse a sidecar (given its own path or the data file's path)."""
+    """Parse and check a sidecar (given its own path or the data file's path)."""
     p = os.fspath(path)
     if p.endswith(".sidecar"):
         p = p[: -len(".sidecar")]
-    return _load_sidecar(p)
+    payload = _read_sidecar(p)
+    if payload["kind"] == "wideband":
+        SidecarHeader.from_payload(payload)  # its invariants span several fields
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +150,9 @@ def _read_csv_record(path, rate_hz):
     return MultiChannelRecord(data, rate, channel_names=names)
 
 
-_RECORD_KEYS = {"format_version", "kind", "p", "n_samples", "source_rate_hz"}
-
-
 def _read_raw_record(path):
-    payload = _load_sidecar(path)
-    if payload.get("kind") != "record":
-        raise FormatError(f"expected a record sidecar, got kind={payload.get('kind')!r}")
-    _check_keys(payload, _RECORD_KEYS, {"channel_names"}, "record")
-    p = int(payload["p"])
-    n = int(payload["n_samples"])
+    payload = _read_sidecar(path, "record")
+    p, n = payload["p"], payload["n_samples"]
     rate = float(payload["source_rate_hz"])
     names = payload.get("channel_names")
     data = np.fromfile(path, dtype="<f8")
@@ -302,11 +280,7 @@ def write_wideband(signal: WidebandSignal, path, format: Optional[str] = None) -
 def read_wideband(path) -> WidebandSignal:
     """Reload a wideband signal; raw-f64 is bit-exact, wav-f32 carries only
     the f32 quantization (~1e-7 relative)."""
-    sc = sidecar_path(path)
-    if not os.path.exists(sc):
-        raise FormatError(f"missing sidecar {sc}")
-    with open(sc, encoding="utf-8") as fh:
-        header = SidecarHeader.from_json(fh.read())
+    header = SidecarHeader.from_payload(_read_sidecar(path, "wideband"))
     n_out = header.n_out
     if header.data_format == "wav-f32":
         if header.mode == MODE_PAPER_COMPLEX:
@@ -375,9 +349,6 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
     raise ValidationError(f"unknown matrix format {fmt!r}; expected one of {MATRIX_FORMATS}")
 
 
-_MATRIX_KEYS = {"format_version", "kind", "rows", "cols"}
-
-
 def read_matrix(path, format: Optional[str] = None) -> tuple[np.ndarray, dict]:
     """Read a matrix written by write_matrix; returns (matrix, meta)."""
     fmt = format or _infer_matrix_format(path)
@@ -411,11 +382,8 @@ def read_matrix(path, format: Optional[str] = None) -> tuple[np.ndarray, dict]:
             raise FormatError(f"{path}: header says {declared}, data is {m.shape}")
         return m, meta
     if fmt == "raw-f64":
-        payload = _load_sidecar(path)
-        if payload.get("kind") != "matrix":
-            raise FormatError(f"expected a matrix sidecar, got kind={payload.get('kind')!r}")
-        _check_keys(payload, _MATRIX_KEYS, {"meta"}, "matrix")
-        rows, cols = int(payload["rows"]), int(payload["cols"])
+        payload = _read_sidecar(path, "matrix")
+        rows, cols = payload["rows"], payload["cols"]
         data = np.fromfile(path, dtype="<f8")
         if data.size != rows * cols:
             raise FormatError(f"{path}: expected {rows}x{cols}={rows * cols} doubles, "

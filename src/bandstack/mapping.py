@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bandstack import _kernels
+from bandstack._kernels import nearest_indices_fast, nearest_indices_scan
 from bandstack.model import (
     MODE_STRICT_LOSSLESS,
     BandPlan,
@@ -67,31 +67,30 @@ def destination_grid(n_out: int, target_rate_hz: float) -> np.ndarray:
     return np.linspace(0.0, target_rate_hz, n_out)
 
 
-def _assignment(p, n_samples, source_rate_hz, target_rate_hz, band_index, kernel):
+def _band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index):
+    """Stretched source frequencies of one band, the destination grid and its step."""
     if not 0 <= band_index < p:
         raise ValidationError(f"band index {band_index} out of range for p={p}")
     n_out = output_length(n_samples, source_rate_hz, target_rate_hz)
     band_width = target_rate_hz / (2 * p)
     targets = stretched_frequencies(n_samples, source_rate_hz, band_width, band_index)
     grid = destination_grid(n_out, target_rate_hz)
-    step = target_rate_hz / (n_out - 1)
-    if kernel is _kernels.nearest_indices_scan:
-        return kernel(targets, grid)
-    return kernel(targets, grid, step)
+    return targets, grid, target_rate_hz / (n_out - 1)
 
 
 def stack_oracle(p: int, n_samples: int, source_rate_hz: float,
                  target_rate_hz: float, band_index: int) -> np.ndarray:
     """Assignment for one band by exhaustive nearest-frequency search."""
-    return _assignment(p, n_samples, source_rate_hz, target_rate_hz, band_index,
-                       _kernels.nearest_indices_scan)
+    targets, grid, _ = _band_geometry(p, n_samples, source_rate_hz, target_rate_hz,
+                                      band_index)
+    return nearest_indices_scan(targets, grid)
 
 
 def stack_fast(p: int, n_samples: int, source_rate_hz: float,
                target_rate_hz: float, band_index: int) -> np.ndarray:
     """Assignment for one band in O(n); bitwise-equal to stack_oracle."""
-    return _assignment(p, n_samples, source_rate_hz, target_rate_hz, band_index,
-                       _kernels.nearest_indices_fast)
+    return nearest_indices_fast(
+        *_band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index))
 
 
 def _collision_analysis(assignments, n_out, n_samples):

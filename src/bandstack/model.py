@@ -15,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from bandstack.sidecar import SidecarHeader, output_length  # noqa: F401  (re-exported)
-
 MODE_PAPER_COMPLEX = "paper-complex"
 MODE_REAL_HERMITIAN = "real-hermitian"
 MODE_STRICT_LOSSLESS = "strict-lossless"
@@ -52,6 +50,16 @@ class DecodeError(BandstackError):
 
 class CollisionWarning(UserWarning):
     """Emitted when a lossy configuration is encoded anyway (non-strict modes)."""
+
+
+def output_length(n_samples: int, source_rate_hz: float, target_rate_hz: float) -> int:
+    """Number of wideband samples: round(T * F_s) with T = n / f_s.
+
+    Equals the integer product whenever T * F_s is integral; rounds
+    half-to-even otherwise (the residual is exposed as
+    ``SidecarHeader.rate_residual``).
+    """
+    return int(round((n_samples / source_rate_hz) * target_rate_hz))
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

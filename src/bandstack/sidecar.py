@@ -1,39 +1,102 @@
-"""Sidecar header: the metadata that makes a wideband file invertible.
+"""Sidecars: the JSON files that describe every binary artifact.
 
 A wideband waveform alone cannot be decoded: the channel count, source rate,
 sample count, mode, band order and amplitude scale are not recoverable from
-samples. This header carries them. In memory it doubles as the provenance
+samples. SidecarHeader carries them. In memory it doubles as the provenance
 object embedded in every WidebandSignal; on disk it is a small JSON file next
-to the data (``<data>.sidecar``).
+to the data (``<data>.sidecar``). Raw records and matrices have sidecars too,
+holding only their dimensions.
 
-Serialization is strict both ways: floats survive bit-exactly (shortest-repr
-round trip), unknown keys and unsupported versions are rejected rather than
-ignored, so a future writer cannot silently feed this reader.
+Every sidecar kind (wideband, record, matrix) is read by one strict reader,
+read_sidecar. Floats survive bit-exactly (shortest-repr round trip); unknown
+keys, unsupported versions and fields of the wrong type or range are
+rejected rather than ignored or coerced, so a future or tampered writer
+cannot silently feed this reader.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
+from bandstack.model import MODES, FormatError, ValidationError, output_length
+
 FORMAT_VERSION = 1
+WIDEBAND_FORMATS = ("wav-f32", "raw-f64")
 
-_REQUIRED_KEYS = {
-    "format_version", "kind", "p", "n_samples", "source_rate_hz",
-    "target_rate_hz", "mode", "stacking_order", "scale", "collision_count",
-    "data_format",
+
+def _is_number(v) -> bool:
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _count(minimum: int):
+    return (lambda v: type(v) is int and v >= minimum), f"an integer >= {minimum}"
+
+
+_RATE = (lambda v: _is_number(v) and v > 0), "a finite number > 0"
+_NUMBER = _is_number, "a finite number"
+_TEXT = (lambda v: isinstance(v, str)), "a string"
+_TEXTS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+          "a list of strings")
+_INTEGERS = (lambda v: isinstance(v, list) and all(type(i) is int for i in v),
+             "a list of integers")
+_TEXT_MAP = (lambda v: isinstance(v, dict) and all(isinstance(s, str) for s in v.values()),
+             "an object of strings")
+
+# kind -> (required fields, optional fields); each field maps to (check, wanted)
+_FIELDS = {
+    "wideband": ({"p": _count(1), "n_samples": _count(2), "source_rate_hz": _RATE,
+                  "target_rate_hz": _RATE, "mode": _TEXT, "stacking_order": _INTEGERS,
+                  "scale": _NUMBER, "collision_count": _count(0),
+                  "data_format": ((lambda v: v in WIDEBAND_FORMATS),
+                                  f"one of {WIDEBAND_FORMATS}")},
+                 {"channel_names": _TEXTS}),
+    "record": ({"p": _count(1), "n_samples": _count(2), "source_rate_hz": _RATE},
+               {"channel_names": _TEXTS}),
+    "matrix": ({"rows": _count(0), "cols": _count(0)}, {"meta": _TEXT_MAP}),
 }
-_OPTIONAL_KEYS = {"channel_names"}
 
 
-def output_length(n_samples: int, source_rate_hz: float, target_rate_hz: float) -> int:
-    """Number of wideband samples: round(T * F_s) with T = n / f_s.
+def read_sidecar(text: str, kind: Optional[str] = None) -> dict:
+    """Parse and check one sidecar of ``kind`` (any known kind when None).
 
-    Equals the integer product whenever T * F_s is integral; rounds
-    half-to-even otherwise (the residual is exposed as ``rate_residual``).
+    Returns the JSON payload as written. Raises FormatError for bad JSON,
+    another version or kind, unknown or missing fields, and any field of the
+    wrong type or range. A wideband payload's cross-field invariants are
+    checked by SidecarHeader.from_payload.
     """
-    return int(round((n_samples / source_rate_hz) * target_rate_hz))
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"sidecar is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError("sidecar must be a JSON object")
+    version = payload.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"unsupported sidecar format_version {version!r} "
+                          f"(this reader understands {FORMAT_VERSION})")
+    found = payload.get("kind")
+    if not isinstance(found, str) or found not in _FIELDS or kind not in (None, found):
+        raise FormatError(f"expected a {kind or ' or '.join(_FIELDS)} sidecar, "
+                          f"got kind={found!r}")
+    required, optional = _FIELDS[found]
+    unknown = set(payload) - {"format_version", "kind"} - set(required) - set(optional)
+    if unknown:
+        raise FormatError(f"unknown {found} sidecar fields {sorted(unknown)}; "
+                          f"refusing to guess")
+    missing = set(required) - set(payload)
+    if missing:
+        raise FormatError(f"{found} sidecar is missing fields {sorted(missing)}")
+    for name, (ok, wanted) in {**required, **optional}.items():
+        if name in payload and not ok(payload[name]):
+            raise FormatError(f"{found} sidecar field {name!r} must be {wanted}, "
+                              f"got {payload[name]!r}")
+    return payload
 
 
 @dataclass(frozen=True)
@@ -57,6 +120,32 @@ class SidecarHeader:
     channel_names: Optional[tuple[str, ...]] = None
     data_format: str = "raw-f64"
     format_version: int = FORMAT_VERSION
+
+    def __post_init__(self):
+        p = self.p
+        if p < 1 or self.n_samples < 2:
+            raise ValidationError(f"need p >= 1 and n_samples >= 2, got p={p}, "
+                                  f"n_samples={self.n_samples}")
+        for name in ("source_rate_hz", "target_rate_hz"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {rate!r}")
+        if self.n_out < 2:
+            raise ValidationError(f"output length {self.n_out} is too short (need >= 2)")
+        scale = self.scale
+        if not (math.isfinite(scale) and scale > 0 and math.frexp(scale)[0] == 0.5):
+            raise ValidationError(f"scale must be a finite positive power of two, "
+                                  f"got {scale!r}")
+        if sorted(self.stacking_order) != list(range(p)):
+            raise ValidationError(f"stacking_order must be a permutation of 0..{p - 1} "
+                                  f"(0-based), got {self.stacking_order}")
+        if self.mode not in MODES:
+            raise ValidationError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        names = self.channel_names
+        if names is not None and (len(names) != p
+                                  or not all(isinstance(n, str) for n in names)):
+            raise ValidationError(f"channel_names must be None or {p} strings, "
+                                  f"got {names!r}")
 
     @property
     def n_out(self) -> int:
@@ -87,41 +176,21 @@ class SidecarHeader:
         return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "SidecarHeader":
-        from bandstack.model import FormatError
-
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"sidecar is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise FormatError("sidecar must be a JSON object")
-        version = payload.get("format_version")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported sidecar format_version {version!r} "
-                              f"(this reader understands {FORMAT_VERSION})")
-        if payload.get("kind") != "wideband":
-            raise FormatError(f"expected a wideband sidecar, got kind={payload.get('kind')!r}")
-        keys = set(payload)
-        unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
-        if unknown:
-            raise FormatError(f"unknown sidecar fields {sorted(unknown)}; refusing to guess")
-        missing = _REQUIRED_KEYS - keys
-        if missing:
-            raise FormatError(f"sidecar is missing fields {sorted(missing)}")
+    def from_payload(cls, payload: dict) -> "SidecarHeader":
+        """Header from a payload that read_sidecar accepted as kind wideband."""
         names = payload.get("channel_names")
         try:
             return cls(
-                p=int(payload["p"]),
-                n_samples=int(payload["n_samples"]),
+                p=payload["p"],
+                n_samples=payload["n_samples"],
                 source_rate_hz=float(payload["source_rate_hz"]),
                 target_rate_hz=float(payload["target_rate_hz"]),
-                mode=str(payload["mode"]),
-                stacking_order=tuple(int(i) - 1 for i in payload["stacking_order"]),
+                mode=payload["mode"],
+                stacking_order=tuple(i - 1 for i in payload["stacking_order"]),
                 scale=float(payload["scale"]),
-                collision_count=int(payload["collision_count"]),
+                collision_count=payload["collision_count"],
                 channel_names=tuple(names) if names is not None else None,
-                data_format=str(payload["data_format"]),
+                data_format=payload["data_format"],
             )
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"malformed sidecar field: {exc}") from exc
+        except (ValidationError, OverflowError) as exc:
+            raise FormatError(f"inconsistent wideband sidecar: {exc}") from exc

@@ -18,12 +18,9 @@ from bandstack.spectrum import dft, inverse_fft
 
 
 def make_tones(p: int, n_samples: int, sample_rate_hz: float,
-               tones, seed=None) -> MultiChannelRecord:
+               tones) -> MultiChannelRecord:
     """Cosine mixture record: ``tones[i]`` lists (freq_hz, amplitude, phase)
     for channel i. Channels with an empty list stay zero.
-
-    ``seed`` is accepted for interface symmetry with the noise generator and
-    ignored; tone records are fully determined by their parameters.
     """
     if p < 1 or n_samples < 2:
         raise ValidationError("need p >= 1 and n_samples >= 2")

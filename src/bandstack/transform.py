@@ -39,12 +39,12 @@ from bandstack.model import (
     CollisionWarning,
     DecodeError,
     MultiChannelRecord,
-    SidecarHeader,
     TransformConfig,
     ValidationError,
     WidebandSignal,
     validate_record,
 )
+from bandstack.sidecar import SidecarHeader
 from bandstack.spectrum import dft, forward_fft, hermitian_extend, inverse_fft
 
 _RESIDUE_TOL = 1e-9
@@ -132,6 +132,10 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
         stacking_order=prov.stacking_order,
     )
     plan = build_band_plan(prov.p, prov.n_samples, prov.source_rate_hz, config)
+    if plan.collision_count != prov.collision_count:
+        raise DecodeError(
+            f"provenance says collision_count={prov.collision_count} but its "
+            f"configuration gives {plan.collision_count}")
     if prov.mode == MODE_STRICT_LOSSLESS and not plan.lossless:
         b, j = plan.first_destructive
         raise CollisionError(

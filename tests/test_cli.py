@@ -107,6 +107,16 @@ def test_decode_truncated_sidecar_is_validation_error(tmp_path, record_csv, caps
     assert "JSON" in capsys.readouterr().err
 
 
+def test_decode_non_utf8_sidecar_is_validation_error(tmp_path, record_csv, capsys):
+    csv_path, _ = record_csv
+    wav = tmp_path / "out.wav"
+    main(["encode", str(csv_path), str(wav), "--target-rate", "192"])
+    (tmp_path / "out.wav.sidecar").write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main(["decode", str(wav), str(tmp_path / "y.csv")]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_spectrogram_command_prints_shape(tmp_path, record_csv, capsys):
     csv_path, _ = record_csv
     wav = tmp_path / "out.wav"

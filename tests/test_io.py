@@ -1,12 +1,14 @@
 """File format contracts: CSV, raw-f64, WAV, sidecars, matrices."""
 
 import dataclasses
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from bandstack import io as bio
+from bandstack.cli import main
 from bandstack.model import (
     MODE_PAPER_COMPLEX,
     FormatError,
@@ -225,6 +227,46 @@ def test_unknown_sidecar_field_rejected(tmp_path):
     sc.write_text(text)
     with pytest.raises(FormatError, match="surprise"):
         bio.read_wideband(path)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("wideband", "source_rate_hz", "x"),
+    ("wideband", "source_rate_hz", 0),
+    ("wideband", "target_rate_hz", float("inf")),
+    ("wideband", "collision_count", -1),
+    ("wideband", "scale", -1),
+    ("wideband", "channel_names", 5),
+    ("wideband", "channel_names", [1, 2, 3]),
+    ("record", "source_rate_hz", "x"),
+    ("record", "source_rate_hz", float("nan")),
+    ("record", "n_samples", -8),
+    ("record", "channel_names", 5),
+    ("matrix", "rows", "x"),
+    ("matrix", "cols", float("inf")),
+    ("matrix", "rows", -1),
+    ("matrix", "meta", ["feature"]),
+])
+def test_bad_sidecar_field_rejected(tmp_path, capsys, kind, field, value):
+    path = tmp_path / "a.f64"
+    if kind == "wideband":
+        bio.write_wideband(_encode_small()[1], path)
+        read, argv = bio.read_wideband, ["decode", str(path), str(tmp_path / "o.csv")]
+    elif kind == "record":
+        bio.write_multichannel(MultiChannelRecord(np.zeros((2, 8)), 10.0), path)
+        read, argv = bio.read_multichannel, ["encode", str(path), str(tmp_path / "o.f64"),
+                                             "--target-rate", "40"]
+    else:
+        bio.write_matrix(np.zeros((2, 3)), path)
+        read, argv = bio.read_matrix, ["info", str(path)]
+    sc = tmp_path / "a.f64.sidecar"
+    payload = json.loads(sc.read_text())
+    assert payload["kind"] == kind
+    payload[field] = value
+    sc.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=field):
+        read(path)
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_future_version_rejected(tmp_path):

@@ -1,39 +1,26 @@
-"""Kernel-lane contracts: both lanes, both algorithms, one answer."""
+"""Kernel contracts: both algorithms, one answer."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandstack._kernels import active_lane, available_lanes
+from bandstack._kernels import nearest_indices_fast, nearest_indices_scan
 from helpers import nearest_search_literal
-
-LANES = available_lanes()
 
 
 def _grid(n_out, span):
     return np.linspace(0.0, span, n_out)
 
 
-def test_compiled_lane_present():
-    # the build is expected to produce the extension here; the numpy lane
-    # remains a supported fallback for installs without a compiler
-    assert active_lane() in LANES
-
-
-@pytest.mark.parametrize("lane", sorted(LANES))
-def test_exact_midpoint_ties_resolve_upward(lane):
-    kernels = LANES[lane]
+def test_exact_midpoint_ties_resolve_upward():
     grid = _grid(7, 12.0)  # exact step 2.0: 0, 2, ..., 12
     targets = np.array([3.0, 5.0, 4.0, 11.0, 0.0, 12.0])
     want = np.array([2, 3, 2, 6, 0, 6])
-    assert np.array_equal(kernels.nearest_indices_scan(targets, grid), want)
-    assert np.array_equal(kernels.nearest_indices_fast(targets, grid, 2.0), want)
+    assert np.array_equal(nearest_indices_scan(targets, grid), want)
+    assert np.array_equal(nearest_indices_fast(targets, grid, 2.0), want)
 
 
-@pytest.mark.parametrize("lane", sorted(LANES))
-def test_ulp_neighbourhood_of_midpoints(lane):
-    kernels = LANES[lane]
+def test_ulp_neighbourhood_of_midpoints():
     rng = np.random.default_rng(0)
     for n_out in (2, 3, 17, 64):
         span = float(rng.uniform(0.5, 2000.0))
@@ -47,28 +34,10 @@ def test_ulp_neighbourhood_of_midpoints(lane):
             grid,
             np.nextafter(grid, np.inf),
         ])
-        scan = kernels.nearest_indices_scan(targets, grid)
-        fast = kernels.nearest_indices_fast(targets, grid, step)
+        scan = nearest_indices_scan(targets, grid)
+        fast = nearest_indices_fast(targets, grid, step)
         assert np.array_equal(scan, fast)
         assert np.array_equal(scan, nearest_search_literal(targets, grid))
-
-
-def test_lanes_agree_bitwise():
-    if len(LANES) < 2:
-        pytest.skip("compiled lane not built")
-    rng = np.random.default_rng(123)
-    for _ in range(50):
-        n_out = int(rng.integers(2, 200))
-        span = float(rng.uniform(1e-3, 1e6))
-        grid = _grid(n_out, span)
-        targets = rng.uniform(0, span / 2, size=int(rng.integers(1, 100)))
-        results = []
-        for kernels in LANES.values():
-            results.append((kernels.nearest_indices_scan(targets, grid),
-                            kernels.nearest_indices_fast(targets, grid, span / (n_out - 1))))
-        for scan, fast in results:
-            assert np.array_equal(scan, results[0][0])
-            assert np.array_equal(fast, results[0][0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,7 +51,6 @@ def test_fast_equals_scan_property(n_out, span, seed):
     step = span / (n_out - 1)
     rng = np.random.default_rng(seed)
     targets = rng.uniform(0.0, span, size=32)
-    for kernels in LANES.values():
-        scan = kernels.nearest_indices_scan(targets, grid)
-        fast = kernels.nearest_indices_fast(targets, grid, step)
-        assert np.array_equal(scan, fast)
+    scan = nearest_indices_scan(targets, grid)
+    fast = nearest_indices_fast(targets, grid, step)
+    assert np.array_equal(scan, fast)

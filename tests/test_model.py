@@ -6,13 +6,13 @@ import pytest
 from bandstack.model import (
     ChannelSpectrum,
     MultiChannelRecord,
-    SidecarHeader,
     TransformConfig,
     ValidationError,
     WidebandSignal,
     output_length,
     validate_record,
 )
+from bandstack.sidecar import SidecarHeader
 
 
 def test_valid_record_paper_shape():
@@ -102,6 +102,28 @@ def test_output_length_matches_integer_products():
     assert output_length(10000, 1000.0, 16000.0) == 160000
     assert output_length(4, 4.0, 8.0) == 8
     assert output_length(5, 10.0, 100.0) == 50
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p", 0),
+    ("n_samples", 1),
+    ("source_rate_hz", 0.0),
+    ("target_rate_hz", np.inf),
+    ("scale", -1.0),
+    ("scale", 3.0),
+    ("scale", np.nan),
+    ("stacking_order", (0, 0)),
+    ("mode", "lossy"),
+    ("channel_names", (1, 2)),
+    ("channel_names", ("a",)),
+])
+def test_sidecar_header_invariants(field, value):
+    good = dict(p=2, n_samples=4, source_rate_hz=4.0, target_rate_hz=16.0,
+                mode="real-hermitian", stacking_order=(1, 0), scale=0.5,
+                collision_count=1, channel_names=("a", "b"))
+    SidecarHeader(**good)
+    with pytest.raises(ValidationError, match=field):
+        SidecarHeader(**{**good, field: value})
 
 
 def test_wideband_signal_checks_provenance_length():

@@ -210,6 +210,19 @@ def test_decode_rejects_mode_mismatch():
         decode(forged)
 
 
+def test_decode_rejects_wrong_collision_count():
+    rng = np.random.default_rng(1)
+    rec = random_record(rng, 2, 16, 8.0)
+    sig = encode(rec, _cfg(2, 32.0))
+    forged = WidebandSignal(
+        sig.samples,
+        sig.rate_hz,
+        dataclasses.replace(sig.provenance, collision_count=999),
+    )
+    with pytest.raises(DecodeError, match="collision_count=999"):
+        decode(forged)
+
+
 def test_roundtrip_nonintegral_duration_product():
     # T*F_s = 12.5 rounds to 12; the residual is reported, not hidden
     rec = MultiChannelRecord(np.random.default_rng(4).standard_normal((1, 5)), 2.0)
