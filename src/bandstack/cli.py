@@ -18,7 +18,6 @@ import warnings
 from bandstack import io as bio
 from bandstack.bench import run_mapping_benchmark
 from bandstack.features import spectrogram, spectrogram_meta
-from bandstack.mapping import build_band_plan
 from bandstack.model import (
     MODE_REAL_HERMITIAN,
     MODES,
@@ -51,13 +50,14 @@ def _parse_order(spec: str, p: int):
     return order
 
 
-def _print_plan(plan) -> None:
-    print(f"plan: p={plan.p} n={plan.n_samples} f_s={plan.source_rate_hz:g} Hz "
-          f"F_s={plan.target_rate_hz:g} Hz mode={plan.mode}")
-    print(f"  f_band={plan.band_width_hz:.6g} Hz  n_out={plan.n_out}  "
-          f"collision_count={plan.collision_count}")
-    print(f"  lossless feasible (F_s >= p*f_s): {'yes' if plan.rate_feasible else 'no'}  "
-          f"exact inversion: {'yes' if plan.lossless else 'no'}")
+def _print_summary(prov, lossless: bool) -> None:
+    rate_feasible = prov.target_rate_hz >= prov.p * prov.source_rate_hz
+    print(f"plan: p={prov.p} n={prov.n_samples} f_s={prov.source_rate_hz:g} Hz "
+          f"F_s={prov.target_rate_hz:g} Hz mode={prov.mode}")
+    print(f"  f_band={prov.target_rate_hz / (2 * prov.p):.6g} Hz  n_out={prov.n_out}  "
+          f"collision_count={prov.collision_count}")
+    print(f"  lossless feasible (F_s >= p*f_s): {'yes' if rate_feasible else 'no'}  "
+          f"exact inversion: {'yes' if lossless else 'no'}")
 
 
 def cmd_encode(args) -> int:
@@ -68,11 +68,13 @@ def cmd_encode(args) -> int:
         mode=args.mode,
         stacking_order=_parse_order(args.order, record.p),
     )
-    plan = build_band_plan(record.p, record.n_samples, record.sample_rate_hz, config)
-    _print_plan(plan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CollisionWarning)  # summary above covers it
+    # encode warns exactly when a non-strict plan is lossy (strict mode
+    # raises instead), so the warning is the summary's "exact inversion"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CollisionWarning)
         signal = encode(record, config)
+    _print_summary(signal.provenance,
+                   not any(issubclass(w.category, CollisionWarning) for w in caught))
     bio.write_wideband(signal, args.output, format=args.wideband_format)
     print(f"wrote {args.output} (+ {bio.sidecar_path(args.output)})")
     return EXIT_OK
@@ -141,12 +143,16 @@ def _parse_tones(spec: str, p: int):
         fields = part.split(":")
         if len(fields) not in (2, 3, 4):
             raise ValidationError(f"bad tone {part!r}: expected CH:FREQ[:AMP[:PHASE]]")
-        ch = int(fields[0]) - 1
+        try:
+            ch = int(fields[0]) - 1
+            freq = float(fields[1])
+            amp = float(fields[2]) if len(fields) > 2 else 1.0
+            phase = float(fields[3]) if len(fields) > 3 else 0.0
+        except ValueError as exc:
+            raise ValidationError(f"bad tone {part!r}: CH must be an integer and "
+                                  f"FREQ[:AMP[:PHASE]] numbers") from exc
         if not 0 <= ch < p:
             raise ValidationError(f"tone channel {fields[0]} out of range 1..{p}")
-        freq = float(fields[1])
-        amp = float(fields[2]) if len(fields) > 2 else 1.0
-        phase = float(fields[3]) if len(fields) > 3 else 0.0
         tones[ch].append((freq, amp, phase))
     return tones
 

@@ -226,6 +226,8 @@ def read_wav_f32(path) -> tuple[int, np.ndarray]:
         if len(chunk) < size:
             raise FormatError(f"{path}: truncated {cid!r} chunk")
         if cid == b"fmt ":
+            if size < 16:
+                raise FormatError(f"{path}: fmt chunk is {size} bytes, need at least 16")
             fmt = struct.unpack_from("<HHIIHH", chunk, 0)
         elif cid == b"data":
             data = chunk
@@ -365,8 +367,13 @@ def read_matrix(path, format: Optional[str] = None) -> tuple[np.ndarray, dict]:
                     body = stripped.lstrip("#").strip()
                     if "=" in body:
                         if body.startswith("rows="):
-                            parts = dict(kv.split("=", 1) for kv in body.split())
-                            declared = (int(parts["rows"]), int(parts["cols"]))
+                            try:
+                                parts = dict(kv.split("=", 1) for kv in body.split())
+                                declared = (int(parts["rows"]), int(parts["cols"]))
+                            except (KeyError, ValueError) as exc:
+                                raise FormatError(
+                                    f"{path}: bad dimension comment on line {lineno}, "
+                                    f"expected '# rows=R cols=C'") from exc
                         else:
                             key, value = body.split("=", 1)
                             meta[key.strip()] = value.strip()

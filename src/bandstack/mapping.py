@@ -7,13 +7,17 @@ the inclusive grid k * f_s/(n-1), 0..f_s; band b shifts that grid by
 b * f_band and compresses it by f_band/f_s, then every stretched frequency is
 assigned to the nearest destination bin of linspace(0, F_s, n_out).
 
-Two interchangeable assignment paths exist:
+Two interchangeable per-band assignment paths exist:
 
   * ``stack_oracle`` - scans all n_out destination bins per source bin, the
     obvious O(n * n_out) search. Kept as the behavioral reference.
   * ``stack_fast`` - closed-form O(1)-per-bin index computation with a small
     exact re-check window; bitwise-identical output, orders of magnitude
     faster (see bandstack.bench).
+
+``build_band_plan`` runs the fast kernel once over all p * n stretched
+frequencies and stores the result as one (p, n) matrix; row b equals
+``stack_fast(..., b)``.
 
 Nearest-bin ties (a stretched frequency exactly midway between two grid
 points) resolve to the larger index in both paths.
@@ -35,12 +39,12 @@ from bandstack._kernels import nearest_indices_fast, nearest_indices_scan
 from bandstack.model import (
     MODE_STRICT_LOSSLESS,
     BandPlan,
-    ChannelSpectrum,
     CollisionError,
     InfeasibleError,
     StackedSpectrum,
     TransformConfig,
     ValidationError,
+    destination_grid,
     output_length,
 )
 
@@ -53,18 +57,14 @@ def source_frequencies(n_samples: int, source_rate_hz: float) -> np.ndarray:
 
 
 def stretched_frequencies(n_samples: int, source_rate_hz: float,
-                          band_width_hz: float, band_index: int) -> np.ndarray:
-    """Source grid compressed into band ``band_index``: l_f + freq * (f_band/f_s)."""
+                          band_width_hz: float, band_index) -> np.ndarray:
+    """Source grid compressed into band ``band_index``: l_f + freq * (f_band/f_s).
+
+    A column of band indices, shape (k, 1), gives one row per band.
+    """
     offset = band_index * band_width_hz
     ratio = band_width_hz / source_rate_hz
     return offset + source_frequencies(n_samples, source_rate_hz) * ratio
-
-
-def destination_grid(n_out: int, target_rate_hz: float) -> np.ndarray:
-    """Wideband grid: n_out evenly spaced values over [0, F_s] inclusive."""
-    if n_out < 2:
-        raise ValidationError(f"destination grid needs >= 2 points, got {n_out}")
-    return np.linspace(0.0, target_rate_hz, n_out)
 
 
 def _band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index):
@@ -93,35 +93,26 @@ def stack_fast(p: int, n_samples: int, source_rate_hz: float,
         *_band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index))
 
 
-def _collision_analysis(assignments, n_out, n_samples):
+def _collision_analysis(assignments, n_out):
     """Count multiply-written bins and check the informative half survives.
 
     Writes happen band-major, source-bin ascending; numpy fancy assignment
     reproduces that overwrite order. A plan is lossless iff every (band,
     j <= n//2) write is the final writer of its destination bin.
     """
-    all_idx = np.concatenate(assignments)
-    counts = np.bincount(all_idx, minlength=n_out)
-    collision_count = int((counts > 1).sum())
+    p, n = assignments.shape
+    flat = assignments.ravel()
+    collision_count = int((np.bincount(flat, minlength=n_out) > 1).sum())
 
-    final_band = np.full(n_out, -1, dtype=np.int64)
-    final_j = np.full(n_out, -1, dtype=np.int64)
-    js = np.arange(n_samples, dtype=np.int64)
-    for b, idx in enumerate(assignments):
-        final_band[idx] = b
-        final_j[idx] = js
-
-    half = n_samples // 2
-    first_destructive = None
-    lossless = True
-    for b, idx in enumerate(assignments):
-        low = idx[:half + 1]
-        ok = (final_band[low] == b) & (final_j[low] == js[:half + 1])
-        if not ok.all():
-            lossless = False
-            if first_destructive is None:
-                first_destructive = (b, int(np.argmin(ok)))
-    return collision_count, lossless, first_destructive
+    writes = np.arange(p * n)
+    final_writer = np.empty(n_out, dtype=np.int64)
+    final_writer[flat] = writes
+    low = n // 2 + 1
+    survives = final_writer[assignments[:, :low]] == writes.reshape(p, n)[:, :low]
+    if survives.all():
+        return collision_count, True, None
+    b, j = np.argwhere(~survives)[0]
+    return collision_count, False, (int(b), int(j))
 
 
 def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
@@ -149,10 +140,12 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         raise ValidationError(f"output length {n_out} is too short (need >= 2 samples)")
 
     band_width = target / (2 * p)
-    assignments = tuple(
-        stack_fast(p, n_samples, source_rate_hz, target, b) for b in range(p))
-    collision_count, lossless, first_destructive = _collision_analysis(
-        assignments, n_out, n_samples)
+    targets = stretched_frequencies(n_samples, source_rate_hz, band_width,
+                                    np.arange(p)[:, None])
+    assignments = nearest_indices_fast(
+        targets.ravel(), destination_grid(n_out, target), target / (n_out - 1),
+    ).reshape(p, n_samples)
+    collision_count, lossless, first_destructive = _collision_analysis(assignments, n_out)
 
     return BandPlan(
         p=p,
@@ -163,7 +156,6 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         band_width_hz=band_width,
         band_offsets_hz=np.arange(p, dtype=np.float64) * band_width,
         alpha=band_width / source_rate_hz,
-        dest_grid=destination_grid(n_out, target),
         assignments=assignments,
         collision_count=collision_count,
         rate_feasible=rate_feasible,
@@ -177,20 +169,25 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
 def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:
     """Write every channel's spectrum into its band of the wideband spectrum.
 
-    Bands are filled bottom-up; within a band, source bins ascend; later
-    writes overwrite earlier ones. ``plan.stacking_order[b]`` picks which
-    channel occupies band b. Strict-lossless mode refuses any plan whose
-    collisions would destroy channel content.
+    ``spectra`` holds channel c's n bins in row c: a (p, n) array or a
+    sequence of p ChannelSpectrum. Bands are filled bottom-up; within a band,
+    source bins ascend; later writes overwrite earlier ones.
+    ``plan.stacking_order[b]`` picks which channel occupies band b.
+    Strict-lossless mode refuses any plan whose collisions would destroy
+    channel content.
     """
-    spectra = list(spectra)
-    if len(spectra) != plan.p:
-        raise ValidationError(f"plan is for {plan.p} channels, got {len(spectra)} spectra")
-    for i, s in enumerate(spectra):
-        if not isinstance(s, ChannelSpectrum):
-            raise ValidationError(f"spectra[{i}] is not a ChannelSpectrum")
-        if s.n != plan.n_samples:
-            raise ValidationError(
-                f"spectra[{i}] has {s.n} bins, plan expects {plan.n_samples}")
+    try:
+        rows = spectra if isinstance(spectra, np.ndarray) else [s.bins for s in spectra]
+        bins = np.asarray(rows, dtype=np.complex128)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"spectra must be {plan.p} rows of {plan.n_samples} bins: a (p, n) array "
+            f"or a sequence of ChannelSpectrum") from exc
+    if bins.ndim != 2 or bins.shape[0] != plan.p:
+        raise ValidationError(f"plan is for {plan.p} channels, got {len(bins)} spectra")
+    if bins.shape[1] != plan.n_samples:
+        raise ValidationError(
+            f"spectra have {bins.shape[1]} bins, plan expects {plan.n_samples}")
     if plan.mode == MODE_STRICT_LOSSLESS and not plan.lossless:
         b, j = plan.first_destructive
         raise CollisionError(
@@ -199,6 +196,5 @@ def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:
             f"(collision_count={plan.collision_count})")
 
     out = np.zeros(plan.n_out, dtype=np.complex128)
-    for b in range(plan.p):
-        out[plan.assignments[b]] = spectra[plan.stacking_order[b]].bins
+    out[plan.assignments.ravel()] = bins[list(plan.stacking_order)].ravel()
     return StackedSpectrum(out, plan.target_rate_hz)

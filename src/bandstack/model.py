@@ -44,8 +44,9 @@ class CollisionError(InfeasibleError):
 
 
 class DecodeError(BandstackError):
-    """Decoding failed: corrupt provenance, or reconstruction residue above
-    tolerance (mode mismatch / tampered samples)."""
+    """Decoding failed: the provenance contradicts itself (its collision_count
+    differs from the plan of its own configuration) or the samples (complex
+    samples under a real mode)."""
 
 
 class CollisionWarning(UserWarning):
@@ -60,6 +61,13 @@ def output_length(n_samples: int, source_rate_hz: float, target_rate_hz: float) 
     ``SidecarHeader.rate_residual``).
     """
     return int(round((n_samples / source_rate_hz) * target_rate_hz))
+
+
+def destination_grid(n_out: int, target_rate_hz: float) -> np.ndarray:
+    """Wideband grid: n_out evenly spaced values over [0, F_s] inclusive."""
+    if n_out < 2:
+        raise ValidationError(f"destination grid needs >= 2 points, got {n_out}")
+    return np.linspace(0.0, target_rate_hz, n_out)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -218,9 +226,11 @@ class TransformConfig:
 class BandPlan:
     """The computed stretch-and-stack mapping for one configuration.
 
-    ``assignments[b]`` maps band b's source bins to destination indices on
-    ``dest_grid`` (which channel occupies band b is decided by
-    ``stacking_order``; the geometry is identical for every occupant).
+    ``assignments`` is a read-only (p, n_samples) int64 matrix: row b maps
+    band b's source bins to destination indices on ``dest_grid`` (which
+    channel occupies band b is decided by ``stacking_order``; the geometry is
+    identical for every occupant). ``dest_grid`` is derived from ``n_out``
+    and ``target_rate_hz`` on each access rather than stored.
 
     Collision accounting distinguishes two facts:
       * ``collision_count`` - destination bins written more than once, total.
@@ -242,8 +252,7 @@ class BandPlan:
     band_width_hz: float
     band_offsets_hz: np.ndarray
     alpha: float
-    dest_grid: np.ndarray
-    assignments: tuple[np.ndarray, ...]
+    assignments: np.ndarray
     collision_count: int
     rate_feasible: bool
     lossless: bool
@@ -253,9 +262,11 @@ class BandPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "band_offsets_hz", _as_readonly(self.band_offsets_hz))
-        object.__setattr__(self, "dest_grid", _as_readonly(self.dest_grid))
-        object.__setattr__(self, "assignments",
-                           tuple(_as_readonly(a) for a in self.assignments))
+        object.__setattr__(self, "assignments", _as_readonly(self.assignments))
+
+    @property
+    def dest_grid(self) -> np.ndarray:
+        return destination_grid(self.n_out, self.target_rate_hz)
 
     @property
     def grid_step_hz(self) -> float:

@@ -5,6 +5,12 @@ unnormalized sum X[k] = sum_n x[n] exp(-2j*pi*k*n/N); the inverse carries the
 1/M factor. numpy.fft implements exactly this pair, so round-trip constants
 are 1 and no wrapper scaling is needed. Arbitrary lengths are supported
 exactly; nothing here ever zero-pads.
+
+encode and decode transform all channels in one batched numpy call per
+direction and invert the real modes with ``irfft``. ``forward_fft`` and
+``hermitian_extend`` are the one-channel reference path: the tests and the
+benchmark's replay check (perfbench/workloads.py) compare encode and decode
+against it.
 """
 
 from __future__ import annotations

@@ -1,22 +1,24 @@
 """End-to-end encode and decode pipelines.
 
-Encode: per-channel forward FFT -> band plan -> stacking -> inverse FFT of
-the wideband spectrum. Three modes:
+Encode: band plan -> one forward FFT of all channels -> stacking -> one
+inverse FFT of the wideband spectrum. Three modes:
 
   * ``paper-complex`` - the stacked spectrum is inverted as-is; the output
     waveform is complex (stored as two planes on disk, not playable).
   * ``real-hermitian`` (default) - the occupied half of the stacked spectrum
-    is halved at interior bins and mirrored into conjugate symmetry before
-    inversion, so the waveform is real and equals the real part of the
-    paper-complex output. Decoding undoes the halving by doubling interior
-    reads (DC and Nyquist carry factor 1). This is the audio-export mode.
+    is halved at interior bins and inverted as the lower half of a
+    conjugate-symmetric spectrum, so the waveform is real and equals the
+    real part of the paper-complex output. Decoding undoes the halving by
+    doubling interior reads (DC and Nyquist carry factor 1). This is the
+    audio-export mode.
   * ``strict-lossless`` - real output like real-hermitian, but refuses any
     configuration whose stacking would destroy channel content.
 
-Decode rebuilds each channel's spectrum from its informative lower-half bins
-and restores the mirror half by conjugate symmetry. The upper-half reads
-would be wrong anyway: adjacent bands structurally overwrite each other's
-boundary bin, and only the redundant conjugate copy is lost there.
+Decode gathers every channel's informative lower-half bins at once and
+inverts them in one batched real inverse FFT, which restores the mirror half
+by conjugate symmetry. The upper-half reads would be wrong anyway: adjacent
+bands structurally overwrite each other's boundary bin, and only the
+redundant conjugate copy is lost there.
 
 Amplitude scale: stored samples are peak-normalized to at most 0.9 by an
 exact power of two recorded in the provenance, so descaling at decode is
@@ -45,9 +47,7 @@ from bandstack.model import (
     validate_record,
 )
 from bandstack.sidecar import SidecarHeader
-from bandstack.spectrum import dft, forward_fft, hermitian_extend, inverse_fft
-
-_RESIDUE_TOL = 1e-9
+from bandstack.spectrum import dft, inverse_fft
 
 
 def _normalization_scale(peak: float) -> float:
@@ -60,26 +60,6 @@ def _normalization_scale(peak: float) -> float:
     if peak / scale > 0.9 and k < 1023:
         scale *= 2.0
     return scale
-
-
-def _real_samples_from_stack(bins: np.ndarray) -> np.ndarray:
-    """Invert a lower-half stacked spectrum to a real waveform.
-
-    Halving the interior bins before mirroring makes the result equal the
-    real part of the complex inversion, which is what the interior factor-2
-    rule at decode time assumes.
-    """
-    m = bins.shape[0]
-    lower = bins.copy()
-    lower[1:(m + 1) // 2] *= 0.5
-    wave = inverse_fft(hermitian_extend(lower))
-    real = wave.real
-    residue = np.abs(wave.imag).max()
-    tol = _RESIDUE_TOL * max(np.abs(real).max(), 1.0)
-    if residue > tol:
-        raise ValidationError(
-            f"imaginary residue {residue:g} after Hermitian inversion exceeds {tol:g}")
-    return real
 
 
 def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSignal:
@@ -97,17 +77,18 @@ def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSigna
             f"{'met but not sufficient here' if plan.rate_feasible else 'violated'})",
             CollisionWarning, stacklevel=2)
 
-    spectra = [forward_fft(ch, record.sample_rate_hz) for ch in record.channels]
-    stacked = apply_stacking(spectra, plan)
+    stacked = apply_stacking(np.fft.fft(record.channels, axis=1), plan)
 
     if config.mode == MODE_PAPER_COMPLEX:
         samples = inverse_fft(stacked.bins)
-        peak = float(np.abs(samples).max())
     else:
-        samples = _real_samples_from_stack(stacked.bins)
-        peak = float(np.abs(samples).max())
+        # Halving the interior bins makes the real inverse equal the real
+        # part of the complex one, which is what decode's doubling assumes.
+        lower = stacked.bins[:plan.n_out // 2 + 1].copy()
+        lower[1:(plan.n_out + 1) // 2] *= 0.5
+        samples = np.fft.irfft(lower, plan.n_out)
 
-    scale = _normalization_scale(peak)
+    scale = _normalization_scale(float(np.abs(samples).max()))
     provenance = SidecarHeader(
         p=record.p,
         n_samples=record.n_samples,
@@ -145,32 +126,18 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
         raise DecodeError(f"complex samples with mode {prov.mode!r}: mode mismatch")
 
     raw = dft(signal.samples * prov.scale)
-    real_mode = prov.mode != MODE_PAPER_COMPLEX
     n = prov.n_samples
-    half = n // 2
     n_out = plan.n_out
+    idx = plan.assignments[:, :n // 2 + 1]
+    lower = raw[idx]
+    if prov.mode != MODE_PAPER_COMPLEX:
+        # Interior bins were halved by the Hermitian fold; DC and (even
+        # n_out) Nyquist were not.
+        edge = (idx == 0) | ((n_out % 2 == 0) & (idx == n_out // 2))
+        lower[~edge] *= 2.0
 
     channels = np.empty((prov.p, n), dtype=np.float64)
-    for b in range(prov.p):
-        idx = plan.assignments[b][:half + 1]
-        vals = raw[idx]
-        if real_mode:
-            # Interior bins were halved by the Hermitian fold; DC and (even
-            # n_out) Nyquist were not.
-            factors = np.where((idx == 0) | ((n_out % 2 == 0) & (idx == n_out // 2)),
-                               1.0, 2.0)
-            vals = vals * factors
-        lower = np.zeros(n, dtype=np.complex128)
-        lower[:half + 1] = vals
-        wave = inverse_fft(hermitian_extend(lower))
-        real = wave.real
-        residue = np.abs(wave.imag).max()
-        tol = _RESIDUE_TOL * max(np.abs(real).max(), 1.0)
-        if residue > tol:
-            raise DecodeError(
-                f"channel {plan.stacking_order[b] + 1}: imaginary residue {residue:g} "
-                f"exceeds tolerance {tol:g} (tampered samples or mode mismatch)")
-        channels[plan.stacking_order[b]] = real
+    channels[list(plan.stacking_order)] = np.fft.irfft(lower, n, axis=1)
     return MultiChannelRecord(channels, prov.source_rate_hz, prov.channel_names)
 
 

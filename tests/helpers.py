@@ -2,8 +2,8 @@
 
 Nothing here may call into the code paths it checks: the DFT oracle is the
 direct quadratic sum (no FFT), the nearest-bin oracle is a literal
-scan-every-candidate loop, and the stacking oracle is the plain overwrite
-loop. Expected values in the test modules were computed with these.
+scan-every-candidate loop, and the stacking and collision oracles are the
+plain overwrite loop. Expected values in the test modules were computed with these.
 """
 
 from __future__ import annotations
@@ -61,6 +61,28 @@ def stack_literal(all_bins, assignments, n_out) -> np.ndarray:
         for j in range(len(idx)):
             stacked[idx[j]] = bins[j]
     return stacked
+
+
+def collisions_literal(assignments, n_out):
+    """Per-band overwrite loop: (collision_count, lossless, first_destructive).
+
+    Bands write bottom-up and source bins ascend, so the last write to a
+    destination bin wins. A plan is lossless iff every informative write
+    (source bin j <= n//2) is the last writer of its bin; the first one that
+    is not, in write order, is ``first_destructive`` as (band, j).
+    """
+    writes = np.zeros(n_out, dtype=np.int64)
+    last_writer = {}
+    for b, idx in enumerate(assignments):
+        for j, k in enumerate(idx):
+            writes[k] += 1
+            last_writer[int(k)] = (b, j)
+    collision_count = int((writes > 1).sum())
+    for b, idx in enumerate(assignments):
+        for j in range(len(idx) // 2 + 1):
+            if last_writer[int(idx[j])] != (b, j):
+                return collision_count, False, (b, j)
+    return collision_count, True, None
 
 
 def rel_max_err(got, want) -> float:

@@ -176,6 +176,12 @@ def test_synth_requires_exactly_one_source(tmp_path, capsys):
                  "--tones", "1:5"]) == 2
 
 
+@pytest.mark.parametrize("tones", ["x:10", "1:ten"])
+def test_synth_malformed_tones_is_validation_error(tmp_path, capsys, tones):
+    assert main(["synth", str(tmp_path / "x.csv"), "--tones", tones]) == 2
+    assert "bad tone" in capsys.readouterr().err
+
+
 def test_zero_record_encodes_to_zero_wav(tmp_path):
     csv_path = tmp_path / "zero.csv"
     bio.write_multichannel(MultiChannelRecord(np.zeros((2, 32)), 16.0), csv_path)

@@ -153,6 +153,18 @@ def test_wav_rejects_non_float_format(tmp_path):
         bio.read_wav_f32(path)
 
 
+def test_wav_short_fmt_chunk_rejected(tmp_path):
+    _, sig = _encode_small()
+    path = tmp_path / "wide.wav"
+    bio.write_wideband(sig, path)
+    blob = path.read_bytes()
+    # the writer's fmt chunk sits at byte 12 with a 16-byte body; keep 8
+    path.write_bytes(blob[:12] + b"fmt " + struct.pack("<I", 8) + blob[20:28] + blob[36:])
+    with pytest.raises(FormatError, match="fmt chunk is 8 bytes"):
+        bio.read_wav_f32(path)
+    assert main(["decode", str(path), str(tmp_path / "back.csv")]) == 2
+
+
 def _encode_small(mode="real-hermitian", seed=2):
     rng = np.random.default_rng(seed)
     rec = random_record(rng, 3, 40, 32.0)
@@ -322,6 +334,14 @@ def test_matrix_one_by_one(tmp_path):
     bio.write_matrix(np.array([[0.0]]), path)
     back, _ = bio.read_matrix(path)
     assert back.shape == (1, 1) and back[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("comment", ["# rows=two cols=2", "# rows=2"])
+def test_matrix_bad_dimension_comment_rejected(tmp_path, comment):
+    path = tmp_path / "m.csv"
+    path.write_text(f"{comment}\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(FormatError, match="dimension comment"):
+        bio.read_matrix(path)
 
 
 def test_matrix_rejects_nan(tmp_path):

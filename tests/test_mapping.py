@@ -20,7 +20,7 @@ from bandstack.model import (
     ValidationError,
 )
 from bandstack.spectrum import forward_fft
-from helpers import nearest_search_literal, stack_literal
+from helpers import collisions_literal, nearest_search_literal, stack_literal
 
 
 def _plan(p, n, f_s, F_s, mode="real-hermitian", order=None):
@@ -89,13 +89,19 @@ def test_fast_equals_oracle_fractional_duration():
 
 
 def test_fast_equals_oracle_sweep():
+    # build_band_plan computes all bands in one pass, so its rows and its
+    # collision analysis are pinned here too
     for p in (1, 2, 3):
         for n in (2, 3, 5, 9, 17):
             for n_out in (2, 3, 8, 31, 64):
+                plan = _plan(p, n, float(n), float(n_out))
                 for b in range(p):
                     fast = stack_fast(p, n, float(n), float(n_out), b)
                     scan = stack_oracle(p, n, float(n), float(n_out), b)
                     assert np.array_equal(fast, scan), (p, n, n_out, b)
+                    assert np.array_equal(plan.assignments[b], scan), (p, n, n_out, b)
+                got = (plan.collision_count, plan.lossless, plan.first_destructive)
+                assert got == collisions_literal(plan.assignments, n_out), (p, n, n_out)
 
 
 def test_assignment_monotone_and_band_contained():
