@@ -201,6 +201,12 @@ def write_wav_f32(path, samples: np.ndarray, rate_hz: float) -> None:
     rate = int(round(rate_hz))
     if rate <= 0:
         raise ValidationError(f"WAV sample rate must round to a positive integer, got {rate_hz}")
+    # The RIFF size field counts the 48 header bytes after it that precede
+    # the samples' 4 bytes each, and is an unsigned 32-bit integer.
+    if 48 + 4 * samples.shape[0] > 2**32 - 1:
+        raise ValidationError(
+            f"{samples.shape[0]} samples do not fit a WAV file (4 GiB limit); "
+            f"use the raw-f64 format")
     data = samples.astype("<f4").tobytes()
     body = b"WAVE"
     body += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)

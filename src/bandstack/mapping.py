@@ -17,7 +17,14 @@ Two interchangeable per-band assignment paths exist:
 
 ``build_band_plan`` runs the fast kernel once over all p * n stretched
 frequencies and stores the result as one (p, n) matrix; row b equals
-``stack_fast(..., b)``.
+``stack_fast(..., b)``. The layout depends only on the configuration, never
+on the samples, so plans are memoised: the plans of the last two distinct
+configurations are kept, and every caller with an equal configuration gets
+the same shared ``BandPlan``. Sharing is safe because a plan is a frozen
+dataclass whose arrays are read-only. The bound is small because a cached
+plan that never repeats (a stream whose length changes every record) is
+only held memory, while encode followed by decode of one record needs a
+single live configuration.
 
 Nearest-bin ties (a stretched frequency exactly midway between two grid
 points) resolve to the larger index in both paths.
@@ -32,6 +39,8 @@ F_s >= p * f_s (necessary, not sufficient).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,6 +124,9 @@ def _collision_analysis(assignments, n_out):
     return collision_count, False, (int(b), int(j))
 
 
+_PLAN_CACHE_SIZE = 2
+
+
 def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
                     config: TransformConfig) -> BandPlan:
     """Compute the full mapping for one configuration (fast path throughout).
@@ -122,6 +134,10 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     In strict-lossless mode configurations below the rate floor
     F_s >= p * f_s are refused outright; actual collision damage is enforced
     later, at stacking time.
+
+    Plans are memoised on (p, n, f_s, config) in a cache of two entries, so
+    equal configurations return the same read-only plan object. Errors are
+    not cached: a refused configuration raises on every call.
     """
     if p != config.channel_count:
         raise ValidationError(f"config is for {config.channel_count} channels, got p={p}")
@@ -129,6 +145,12 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         raise ValidationError("need at least 2 samples per channel")
     if source_rate_hz <= 0:
         raise ValidationError("source rate must be positive")
+    return _build_band_plan(int(p), int(n_samples), float(source_rate_hz), config)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
+                     config: TransformConfig) -> BandPlan:
     target = config.target_rate_hz
     rate_feasible = bool(target >= p * source_rate_hz)
     if config.mode == MODE_STRICT_LOSSLESS and not rate_feasible:
@@ -150,8 +172,8 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     return BandPlan(
         p=p,
         n_samples=n_samples,
-        source_rate_hz=float(source_rate_hz),
-        target_rate_hz=float(target),
+        source_rate_hz=source_rate_hz,
+        target_rate_hz=target,
         n_out=n_out,
         band_width_hz=band_width,
         band_offsets_hz=np.arange(p, dtype=np.float64) * band_width,

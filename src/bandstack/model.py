@@ -125,26 +125,37 @@ def _coerce_channels(channels) -> np.ndarray:
         if len(set(lengths)) != 1:
             raise ValidationError(f"ragged channels: lengths {lengths}")
         rows = np.asarray(seq, dtype=np.float64)
+    _check_channels(rows)
+    return _as_readonly(rows)
+
+
+def _check_channels(rows: np.ndarray) -> None:
+    """Check a float64 channel array's shape and values without copying it."""
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValidationError(f"expected a (p, n) channel array, got shape {rows.shape}")
     if rows.shape[1] < 2:
         raise ValidationError(f"channels must hold at least 2 samples, got {rows.shape[1]}")
-    bad = ~np.isfinite(rows)
-    if bad.any():
-        ch, idx = np.argwhere(bad)[0]
+    # min and max propagate NaN and reach any infinity, and allocate nothing.
+    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        ch, idx = np.argwhere(~np.isfinite(rows))[0]
         raise ValidationError(f"non-finite sample at channel {ch}, index {idx}")
-    return _as_readonly(rows)
 
 
 def validate_record(record: MultiChannelRecord) -> None:
     """Re-check every MultiChannelRecord invariant; raise ValidationError if any fails.
 
     Construction already validates, so this only guards records whose arrays
-    were mutated through a non-owning view.
+    were mutated through a non-owning view. The channel array is checked in
+    place; one that is no longer a float64 array goes through construction's
+    coercion instead.
     """
     if not isinstance(record, MultiChannelRecord):
         raise ValidationError(f"expected MultiChannelRecord, got {type(record).__name__}")
-    _coerce_channels(record.channels)
+    rows = record.channels
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        _check_channels(rows)
+    else:
+        _coerce_channels(rows)
     if record.sample_rate_hz <= 0:
         raise ValidationError(f"sample rate must be positive, got {record.sample_rate_hz}")
 
@@ -242,6 +253,10 @@ class BandPlan:
         channels (the mirror half is reconstructed by conjugate symmetry).
     ``rate_feasible`` is the coarse rate-floor predicate F_s >= p * f_s; it is
     necessary for losslessness but not sufficient (see README).
+
+    ``mapping.build_band_plan`` memoises plans and hands the same instance to
+    every caller with an equal configuration; that is safe only because the
+    dataclass is frozen and both arrays are read-only.
     """
 
     p: int

@@ -14,9 +14,11 @@ inverse FFT of the wideband spectrum. Three modes:
   * ``strict-lossless`` - real output like real-hermitian, but refuses any
     configuration whose stacking would destroy channel content.
 
-Decode gathers every channel's informative lower-half bins at once and
-inverts them in one batched real inverse FFT, which restores the mirror half
-by conjugate symmetry. The upper-half reads would be wrong anyway: adjacent
+Decode transforms the waveform once (``rfft`` in the real modes, whose
+gathers never read above bin n_out/2; a full FFT in paper-complex), gathers
+every channel's informative lower-half bins at once and inverts them in one
+batched real inverse FFT, which restores the mirror half by conjugate
+symmetry. The upper-half reads would be wrong anyway: adjacent
 bands structurally overwrite each other's boundary bin, and only the
 redundant conjugate copy is lost there.
 
@@ -125,7 +127,15 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
     if signal.is_complex and prov.mode != MODE_PAPER_COMPLEX:
         raise DecodeError(f"complex samples with mode {prov.mode!r}: mode mismatch")
 
-    raw = dft(signal.samples * prov.scale)
+    raw_samples = signal.samples * prov.scale
+    if prov.mode == MODE_PAPER_COMPLEX:
+        raw = dft(raw_samples)
+    else:
+        # Only bins <= n_out/2 are read, which is exactly what rfft returns.
+        # The scale can overflow a tampered signal, so check before the FFT.
+        if not np.isfinite(raw_samples).all():
+            raise ValidationError("non-finite dft input")
+        raw = np.fft.rfft(raw_samples)
     n = prov.n_samples
     n_out = plan.n_out
     idx = plan.assignments[:, :n // 2 + 1]

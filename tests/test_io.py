@@ -144,6 +144,14 @@ def test_wav_data_chunk_size_at_reference_length(tmp_path):
     assert rate == 16000 and back.shape == (160000,)
 
 
+def test_wav_over_4_gib_rejected(tmp_path):
+    # 2**30 samples need a 4 GiB data chunk; the view allocates nothing
+    path = tmp_path / "huge.wav"
+    with pytest.raises(ValidationError, match="4 GiB"):
+        bio.write_wav_f32(path, np.broadcast_to(np.float64(0.0), (2**30,)), 16000.0)
+    assert not path.exists()
+
+
 def test_wav_rejects_non_float_format(tmp_path):
     blob = bytearray(_golden_wav_bytes())
     blob[20:22] = struct.pack("<H", 1)  # PCM tag

@@ -1,8 +1,11 @@
 """Mapping contracts: grids, oracle/fast equivalence, stacking semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from bandstack import mapping
 from bandstack.mapping import (
     apply_stacking,
     build_band_plan,
@@ -20,7 +23,8 @@ from bandstack.model import (
     ValidationError,
 )
 from bandstack.spectrum import forward_fft
-from helpers import collisions_literal, nearest_search_literal, stack_literal
+from bandstack.transform import roundtrip_report
+from helpers import collisions_literal, nearest_search_literal, random_record, stack_literal
 
 
 def _plan(p, n, f_s, F_s, mode="real-hermitian", order=None):
@@ -120,6 +124,7 @@ def test_assignment_monotone_and_band_contained():
 
 def test_plan_is_deterministic():
     a = _plan(3, 17, 25.0, 150.0)
+    mapping._build_band_plan.cache_clear()
     b = _plan(3, 17, 25.0, 150.0)
     assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
     assert np.array_equal(a.dest_grid, b.dest_grid)
@@ -146,6 +151,73 @@ def test_rate_floor_is_not_sufficient():
 def test_strict_mode_refuses_below_rate_floor():
     with pytest.raises(InfeasibleError, match=r"F_s >= p\*f_s = 30000"):
         _plan(30, 10000, 1000.0, 16000.0, mode="strict-lossless")
+
+
+def test_strict_refusal_is_not_cached():
+    for _ in range(2):
+        with pytest.raises(InfeasibleError, match=r"F_s >= p\*f_s = 40"):
+            _plan(4, 100, 10.0, 39.0, mode="strict-lossless")
+
+
+def test_plan_cache_shares_equal_configurations():
+    mapping._build_band_plan.cache_clear()
+    plan = _plan(3, 17, 25.0, 150.0)
+    assert _plan(3, 17, 25.0, 150.0) is plan
+    # numpy integers and integral rates are the same configuration
+    cfg = TransformConfig(150, np.int64(3))
+    assert build_band_plan(np.int64(3), np.int32(17), 25, cfg) is plan
+    info = mapping._build_band_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("change", [
+    {"mode": "paper-complex"},
+    {"order": (2, 0, 1)},
+    {"n": 18},
+    {"f_s": 24.0},
+    {"F_s": 140.0},
+])
+def test_plan_cache_keeps_configurations_apart(change):
+    base = dict(p=3, n=17, f_s=25.0, F_s=150.0)
+    first = _plan(**base)
+    args = {**base, **change}
+    cached = _plan(**args)
+    assert cached is not first
+    mapping._build_band_plan.cache_clear()
+    fresh = _plan(**args)
+    assert cached is not fresh
+    assert np.array_equal(cached.assignments, fresh.assignments)
+    assert (cached.collision_count, cached.lossless, cached.first_destructive) == (
+        fresh.collision_count, fresh.lossless, fresh.first_destructive)
+    assert (cached.mode, cached.stacking_order) == (fresh.mode, fresh.stacking_order)
+
+
+def test_cached_plan_is_read_only():
+    plan = _plan(3, 17, 25.0, 150.0)
+    assert _plan(3, 17, 25.0, 150.0) is plan
+    with pytest.raises(ValueError, match="read-only"):
+        plan.assignments[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        plan.band_offsets_hz[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.collision_count = 0
+
+
+def test_plan_cache_is_bounded():
+    for n in range(10, 30):
+        _plan(2, n, 10.0, 60.0)
+    info = mapping._build_band_plan.cache_info()
+    assert info.maxsize == 2
+    assert info.currsize <= 2
+
+
+def test_roundtrip_report_builds_one_plan():
+    rec = random_record(np.random.default_rng(3), 3, 23, 25.0)
+    mapping._build_band_plan.cache_clear()
+    report = roundtrip_report(rec, TransformConfig(150.0, 3))
+    info = mapping._build_band_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert report.max_abs_error < 1e-9
 
 
 def test_plan_rejects_tiny_output():

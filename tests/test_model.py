@@ -1,5 +1,7 @@
 """Domain-type invariants: nothing invalid can be constructed."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,22 @@ def test_non_finite_sample_names_position():
     data[1, 3] = np.nan
     with pytest.raises(ValidationError, match="channel 1, index 3"):
         MultiChannelRecord(data, 10.0)
+
+
+def test_validate_record_checks_in_place():
+    rec = MultiChannelRecord(np.zeros((4, 100_000)), 10.0)
+    tracemalloc.start()
+    try:
+        validate_record(rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rec.channels.nbytes // 100
+    # a record whose array was made writable and changed afterwards
+    rec.channels.setflags(write=True)
+    rec.channels[1, 3] = np.inf
+    with pytest.raises(ValidationError, match="non-finite sample at channel 1, index 3"):
+        validate_record(rec)
 
 
 def test_bad_rate_rejected():

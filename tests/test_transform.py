@@ -223,6 +223,23 @@ def test_decode_rejects_wrong_collision_count():
         decode(forged)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", [MODE_REAL_HERMITIAN, MODE_PAPER_COMPLEX])
+def test_decode_rejects_overflowing_scale(mode):
+    # a tampered file: a stored sample of 3 with the largest legal scale
+    rec = random_record(np.random.default_rng(1), 2, 16, 8.0)
+    sig = encode(rec, _cfg(2, 32.0, mode=mode))
+    samples = sig.samples.copy()
+    samples[0] = 3.0
+    forged = WidebandSignal(
+        samples,
+        sig.rate_hz,
+        dataclasses.replace(sig.provenance, scale=2.0 ** 1023),
+    )
+    with pytest.raises(ValidationError, match="non-finite dft input"):
+        decode(forged)
+
+
 def test_roundtrip_nonintegral_duration_product():
     # T*F_s = 12.5 rounds to 12; the residual is reported, not hidden
     rec = MultiChannelRecord(np.random.default_rng(4).standard_normal((1, 5)), 2.0)
