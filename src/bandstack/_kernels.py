@@ -46,14 +46,15 @@ def nearest_indices_fast(targets: np.ndarray, grid: np.ndarray, step: float) -> 
     rounding against the actual linspace values, so a +/-2 window around it
     is re-checked with the exact scan comparison. That keeps the result
     bitwise identical to nearest_indices_scan while never touching more
-    than 5 grid points per target.
+    than 5 grid points per target. Works elementwise: the result has the
+    shape of ``targets``.
     """
     targets = np.ascontiguousarray(targets, dtype=np.float64)
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     m = grid.shape[0]
     guess = np.floor(targets / step + 0.5).astype(np.int64)
-    best_d = np.full(targets.shape[0], np.inf)
-    out = np.zeros(targets.shape[0], dtype=np.int64)
+    best_d = np.full(targets.shape, np.inf)
+    out = np.zeros(targets.shape, dtype=np.int64)
     for offset in range(-2, 3):
         k = np.clip(guess + offset, 0, m - 1)
         d = np.abs(grid[k] - targets)

@@ -193,6 +193,23 @@ def write_multichannel(record: MultiChannelRecord, path,
 # ---------------------------------------------------------------------------
 # WAV (RIFF/WAVE, IEEE float32, mono)
 
+def _wav_header(n_samples: int, rate: int) -> bytes:
+    """Every byte of a mono float32 WAV that precedes its n samples.
+
+    The RIFF size field counts the 48 header bytes after it plus 4 bytes per
+    sample and is an unsigned 32-bit integer, so longer data is refused.
+    """
+    data_size = 4 * n_samples
+    if 48 + data_size > 2**32 - 1:
+        raise ValidationError(
+            f"{n_samples} samples do not fit a WAV file (4 GiB limit); "
+            f"use the raw-f64 format")
+    return (b"RIFF" + struct.pack("<I", 48 + data_size) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
+            + b"fact" + struct.pack("<II", 4, n_samples)
+            + b"data" + struct.pack("<I", data_size))
+
+
 def write_wav_f32(path, samples: np.ndarray, rate_hz: float) -> None:
     """Write a mono float32 WAV (format tag 3) with a fact chunk."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -201,19 +218,12 @@ def write_wav_f32(path, samples: np.ndarray, rate_hz: float) -> None:
     rate = int(round(rate_hz))
     if rate <= 0:
         raise ValidationError(f"WAV sample rate must round to a positive integer, got {rate_hz}")
-    # The RIFF size field counts the 48 header bytes after it that precede
-    # the samples' 4 bytes each, and is an unsigned 32-bit integer.
-    if 48 + 4 * samples.shape[0] > 2**32 - 1:
-        raise ValidationError(
-            f"{samples.shape[0]} samples do not fit a WAV file (4 GiB limit); "
-            f"use the raw-f64 format")
-    data = samples.astype("<f4").tobytes()
-    body = b"WAVE"
-    body += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
-    body += b"fact" + struct.pack("<II", 4, samples.shape[0])
-    body += b"data" + struct.pack("<I", len(data)) + data
+    # The header (and its size check) comes before any conversion of the data.
+    header = _wav_header(samples.shape[0], rate)
+    data = samples.astype("<f4")
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(header)
+        data.tofile(fh)
 
 
 def read_wav_f32(path) -> tuple[int, np.ndarray]:

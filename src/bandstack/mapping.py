@@ -18,13 +18,14 @@ Two interchangeable per-band assignment paths exist:
 ``build_band_plan`` runs the fast kernel once over all p * n stretched
 frequencies and stores the result as one (p, n) matrix; row b equals
 ``stack_fast(..., b)``. The layout depends only on the configuration, never
-on the samples, so plans are memoised: the plans of the last two distinct
-configurations are kept, and every caller with an equal configuration gets
+on the samples, so plans are memoised: the plan of the most recent
+configuration is kept, and every caller with an equal configuration gets
 the same shared ``BandPlan``. Sharing is safe because a plan is a frozen
-dataclass whose arrays are read-only. The bound is small because a cached
+dataclass whose arrays are read-only views of read-only arrays, which numpy
+refuses to make writable again. One entry suffices because encode followed
+by decode of one record needs a single live configuration, while a kept
 plan that never repeats (a stream whose length changes every record) is
-only held memory, while encode followed by decode of one record needs a
-single live configuration.
+only held memory.
 
 Nearest-bin ties (a stretched frequency exactly midway between two grid
 points) resolve to the larger index in both paths.
@@ -124,7 +125,7 @@ def _collision_analysis(assignments, n_out):
     return collision_count, False, (int(b), int(j))
 
 
-_PLAN_CACHE_SIZE = 2
+_PLAN_CACHE_SIZE = 1
 
 
 def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
@@ -135,9 +136,10 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     F_s >= p * f_s are refused outright; actual collision damage is enforced
     later, at stacking time.
 
-    Plans are memoised on (p, n, f_s, config) in a cache of two entries, so
-    equal configurations return the same read-only plan object. Errors are
-    not cached: a refused configuration raises on every call.
+    Plans are memoised on (p, n, f_s, config) in a cache of one entry, so
+    repeated calls with one configuration return the same read-only plan
+    object. Errors are not cached: a refused configuration raises on every
+    call.
     """
     if p != config.channel_count:
         raise ValidationError(f"config is for {config.channel_count} channels, got p={p}")
@@ -164,9 +166,8 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     band_width = target / (2 * p)
     targets = stretched_frequencies(n_samples, source_rate_hz, band_width,
                                     np.arange(p)[:, None])
-    assignments = nearest_indices_fast(
-        targets.ravel(), destination_grid(n_out, target), target / (n_out - 1),
-    ).reshape(p, n_samples)
+    assignments = nearest_indices_fast(targets, destination_grid(n_out, target),
+                                       target / (n_out - 1))
     collision_count, lossless, first_destructive = _collision_analysis(assignments, n_out)
 
     return BandPlan(

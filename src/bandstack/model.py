@@ -76,6 +76,20 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_locked(a: np.ndarray) -> np.ndarray:
+    """Read-only view of a read-only array that owns its data.
+
+    numpy lets an owning array, or a view of a writable one, be made
+    writable again with ``setflags``; a view of a read-only owner cannot be.
+    An array that does not own its data is copied first.
+    """
+    owner = np.ascontiguousarray(a)
+    if not owner.flags.owndata:
+        owner = owner.copy()
+    owner.setflags(write=False)
+    return owner.view()
+
+
 @dataclass(frozen=True)
 class MultiChannelRecord:
     """p synchronized real-valued channels of n_samples each, at a common rate.
@@ -146,16 +160,11 @@ def validate_record(record: MultiChannelRecord) -> None:
 
     Construction already validates, so this only guards records whose arrays
     were mutated through a non-owning view. The channel array is checked in
-    place; one that is no longer a float64 array goes through construction's
-    coercion instead.
+    place.
     """
     if not isinstance(record, MultiChannelRecord):
         raise ValidationError(f"expected MultiChannelRecord, got {type(record).__name__}")
-    rows = record.channels
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        _check_channels(rows)
-    else:
-        _coerce_channels(rows)
+    _check_channels(record.channels)
     if record.sample_rate_hz <= 0:
         raise ValidationError(f"sample rate must be positive, got {record.sample_rate_hz}")
 
@@ -256,7 +265,7 @@ class BandPlan:
 
     ``mapping.build_band_plan`` memoises plans and hands the same instance to
     every caller with an equal configuration; that is safe only because the
-    dataclass is frozen and both arrays are read-only.
+    dataclass is frozen and both arrays are locked (see ``_as_locked``).
     """
 
     p: int
@@ -276,8 +285,8 @@ class BandPlan:
     stacking_order: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "band_offsets_hz", _as_readonly(self.band_offsets_hz))
-        object.__setattr__(self, "assignments", _as_readonly(self.assignments))
+        object.__setattr__(self, "band_offsets_hz", _as_locked(self.band_offsets_hz))
+        object.__setattr__(self, "assignments", _as_locked(self.assignments))
 
     @property
     def dest_grid(self) -> np.ndarray:

@@ -49,7 +49,7 @@ from bandstack.model import (
     validate_record,
 )
 from bandstack.sidecar import SidecarHeader
-from bandstack.spectrum import dft, inverse_fft
+from bandstack.spectrum import inverse_fft
 
 
 def _normalization_scale(peak: float) -> float:
@@ -128,13 +128,13 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
         raise DecodeError(f"complex samples with mode {prov.mode!r}: mode mismatch")
 
     raw_samples = signal.samples * prov.scale
+    # The scale can overflow a tampered signal, so check before the FFT.
+    if not np.isfinite(raw_samples).all():
+        raise ValidationError("non-finite dft input")
     if prov.mode == MODE_PAPER_COMPLEX:
-        raw = dft(raw_samples)
+        raw = np.fft.fft(raw_samples)
     else:
         # Only bins <= n_out/2 are read, which is exactly what rfft returns.
-        # The scale can overflow a tampered signal, so check before the FFT.
-        if not np.isfinite(raw_samples).all():
-            raise ValidationError("non-finite dft input")
         raw = np.fft.rfft(raw_samples)
     n = prov.n_samples
     n_out = plan.n_out

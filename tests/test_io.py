@@ -145,11 +145,23 @@ def test_wav_data_chunk_size_at_reference_length(tmp_path):
 
 
 def test_wav_over_4_gib_rejected(tmp_path):
-    # 2**30 samples need a 4 GiB data chunk; the view allocates nothing
+    # 2**30 samples need a 4 GiB data chunk; the view allocates nothing, and
+    # the writer packs the header before it converts any sample
     path = tmp_path / "huge.wav"
     with pytest.raises(ValidationError, match="4 GiB"):
         bio.write_wav_f32(path, np.broadcast_to(np.float64(0.0), (2**30,)), 16000.0)
     assert not path.exists()
+
+
+def test_wav_size_limit_boundary():
+    # the RIFF size field holds 48 + 4n; 2**30 - 13 samples is the longest
+    # that fits in 32 bits
+    header = bio._wav_header(2**30 - 13, 16000)
+    assert len(header) == 56
+    assert struct.unpack_from("<I", header, 4) == (2**32 - 4,)
+    assert struct.unpack_from("<I", header, 52) == (2**32 - 52,)
+    with pytest.raises(ValidationError, match="4 GiB"):
+        bio._wav_header(2**30 - 12, 16000)
 
 
 def test_wav_rejects_non_float_format(tmp_path):
