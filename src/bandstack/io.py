@@ -11,8 +11,14 @@ Formats:
   * WAV - RIFF/WAVE, format 3 (IEEE float), mono, 32-bit, for real-mode
     wideband signals only. The f32 narrowing is the only loss on this path.
 
-Sample values in CSV are written with shortest round-trip repr, so they also
-re-read bit-exactly.
+CSV text is read and written a block of rows at a time, which bounds the
+memory a file's text takes. Reading rules: ``#`` comment lines and blank
+lines may appear anywhere; a record's first data line is a header of
+channel names unless every cell is a number; record cells may be quoted
+(``"1.5"``, ``"C,z"``); whitespace around a cell is ignored; text that is
+not UTF-8 is a FormatError (CLI exit code 2). Values are written as the
+shortest repr that round-trips, so the output bytes depend only on the
+values, and they re-read bit-exactly.
 """
 
 from __future__ import annotations
@@ -82,11 +88,113 @@ def read_sidecar_file(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# multichannel records
+# CSV text, shared by records and matrices
 
-def _infer_record_format(path) -> str:
+_BLOCK_ROWS = 2048  # rows parsed or formatted per step; bounds the text held at once
+
+
+def _csv_blocks(path, fh, on_comment):
+    """Yield ``(lines, linenos)`` blocks of up to _BLOCK_ROWS data lines.
+
+    Blank lines are skipped and ``on_comment(lineno, body)`` sees each ``#``
+    line. An error it raises comes after the block before it, so errors
+    surface in file order.
+    """
+    lines, linenos = [], []
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                try:
+                    on_comment(lineno, stripped.lstrip("#").strip())
+                except FormatError as exc:
+                    error = exc
+                else:
+                    continue
+                if lines:
+                    yield lines, linenos
+                raise error
+            lines.append(line)
+            linenos.append(lineno)
+            if len(lines) == _BLOCK_ROWS:
+                yield lines, linenos
+                lines, linenos = [], []
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if lines:
+        yield lines, linenos
+
+
+def _read_csv_table(path, on_comment, split, bad_cell, header=False):
+    """Parse a CSV file's data lines; returns (names, data, widths).
+
+    Each block goes once through ``split(lines)``, which turns lines into
+    rows of cells, and once through ``np.array``, which parses every cell
+    exactly as ``float`` does. Only a block that fails is scanned cell by
+    cell, to raise ``bad_cell`` (a message template) for its first bad cell
+    and to collect its row widths. ``widths`` holds every row width seen;
+    ``data`` is the (rows, cols) array if there is only one. With ``header``,
+    a first data line that is not all numbers gives ``names``.
+    """
+    def cells(line, lineno):
+        try:
+            return [c.strip() for c in next(iter(split([line])))]
+        except _csv.Error as exc:
+            raise FormatError(f"{path}: unreadable CSV at line {lineno}: {exc}") from exc
+
+    names, blocks, widths = None, [], set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        for i, (lines, linenos) in enumerate(_csv_blocks(path, fh, on_comment)):
+            if header and i == 0:
+                first = cells(lines[0], linenos[0])
+                try:
+                    for c in first:
+                        float(c)
+                except ValueError:
+                    names = tuple(first)
+                    del lines[0], linenos[0]
+                    if not lines:
+                        continue
+            try:
+                rows = list(split(lines))
+                if len(rows) == len(lines):  # else a quoted cell ran across lines
+                    blocks.append(np.array(rows, dtype=np.float64))
+                    widths.add(blocks[-1].shape[1])
+                    continue
+            except (_csv.Error, ValueError):
+                pass
+            rows = []
+            for lineno, line in zip(linenos, lines):
+                row = []
+                for col, cell in enumerate(cells(line, lineno), start=1):
+                    try:
+                        row.append(float(cell))
+                    except ValueError as exc:
+                        raise FormatError(bad_cell.format(
+                            path=path, cell=cell, line=lineno, col=col)) from exc
+                rows.append(row)
+                widths.add(len(row))
+            if len(widths) == 1:
+                blocks.append(np.array(rows, dtype=np.float64))
+    return names, (np.concatenate(blocks) if len(widths) == 1 else None), widths
+
+
+def _write_csv_rows(fh, rows: np.ndarray) -> None:
+    """Write a 2-D array as lines of shortest round-trip reprs, one block
+    of rows per ``write``."""
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        fh.write("".join([",".join(map(repr, row)) + "\n"
+                          for row in rows[start:start + _BLOCK_ROWS].tolist()]))
+
+
+def _infer_text_format(path) -> str:
     return "csv" if os.fspath(path).lower().endswith(".csv") else "raw-f64"
 
+
+# ---------------------------------------------------------------------------
+# multichannel records
 
 def read_multichannel(path, format: Optional[str] = None,
                       rate_hz: Optional[float] = None) -> MultiChannelRecord:
@@ -95,7 +203,7 @@ def read_multichannel(path, format: Optional[str] = None,
     For CSV the sample rate comes from ``rate_hz`` or a ``# rate_hz=...``
     comment; raw-f64 takes everything from the sidecar.
     """
-    fmt = format or _infer_record_format(path)
+    fmt = format or _infer_text_format(path)
     if fmt == "csv":
         return _read_csv_record(path, rate_hz)
     if fmt == "raw-f64":
@@ -104,50 +212,28 @@ def read_multichannel(path, format: Optional[str] = None,
 
 
 def _read_csv_record(path, rate_hz):
-    names = None
-    rows = []
     file_rate = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                body = stripped.lstrip("#").strip()
-                if body.startswith("rate_hz="):
-                    try:
-                        file_rate = float(body.split("=", 1)[1])
-                    except ValueError as exc:
-                        raise FormatError(f"{path}: bad rate comment on line {lineno}") from exc
-                continue
-            cells = next(_csv.reader([line]))
-            cells = [c.strip() for c in cells]
-            if not rows and names is None:
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    names = tuple(cells)
-                continue
-            parsed = []
-            for col, c in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(c))
-                except ValueError as exc:
-                    raise FormatError(
-                        f"{path}: non-numeric value {c!r} at line {lineno}, column {col}"
-                    ) from exc
-            rows.append(parsed)
-    if not rows:
+
+    def on_comment(lineno, body):
+        nonlocal file_rate
+        if body.startswith("rate_hz="):
+            try:
+                file_rate = float(body.split("=", 1)[1])
+            except ValueError as exc:
+                raise FormatError(f"{path}: bad rate comment on line {lineno}") from exc
+
+    names, data, widths = _read_csv_table(
+        path, on_comment, _csv.reader,
+        "{path}: non-numeric value {cell!r} at line {line}, column {col}", header=True)
+    if not widths:
         raise FormatError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if data is None:
         raise FormatError(f"{path}: inconsistent column counts {sorted(widths)}")
     rate = rate_hz if rate_hz is not None else file_rate
     if rate is None:
         raise FormatError(f"{path}: sample rate not given (pass rate_hz or add a "
                           f"'# rate_hz=...' comment)")
-    data = np.asarray(rows, dtype=np.float64).T  # columns are channels
-    return MultiChannelRecord(data, rate, channel_names=names)
+    return MultiChannelRecord(data.T, rate, channel_names=names)  # columns are channels
 
 
 def _read_raw_record(path):
@@ -165,14 +251,13 @@ def _read_raw_record(path):
 def write_multichannel(record: MultiChannelRecord, path,
                        format: Optional[str] = None) -> None:
     """Write a record as CSV (self-describing) or raw-f64 + sidecar."""
-    fmt = format or _infer_record_format(path)
+    fmt = format or _infer_text_format(path)
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# rate_hz={record.sample_rate_hz!r}\n")
             if record.channel_names:
                 fh.write(",".join(record.channel_names) + "\n")
-            for row in record.channels.T:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            _write_csv_rows(fh, record.channels.T)
         return
     if fmt == "raw-f64":
         record.channels.astype("<f8").tofile(path)
@@ -326,10 +411,6 @@ def read_wideband(path) -> WidebandSignal:
 # ---------------------------------------------------------------------------
 # matrices
 
-def _infer_matrix_format(path) -> str:
-    return "csv" if os.fspath(path).lower().endswith(".csv") else "raw-f64"
-
-
 def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
                  meta: Optional[dict] = None) -> None:
     """Write a 2-D real matrix row-major, with dimensions in the header/sidecar.
@@ -343,14 +424,13 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
     if not np.isfinite(m).all():
         bad = np.argwhere(~np.isfinite(m))[0]
         raise ValidationError(f"non-finite matrix entry at {tuple(int(v) for v in bad)}")
-    fmt = format or _infer_matrix_format(path)
+    fmt = format or _infer_text_format(path)
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# rows={m.shape[0]} cols={m.shape[1]}\n")
             for key, value in (meta or {}).items():
                 fh.write(f"# {key}={value}\n")
-            for row in m:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            _write_csv_rows(fh, m)
         return
     if fmt == "raw-f64":
         m.astype("<f8").tofile(path)
@@ -369,37 +449,28 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
 
 def read_matrix(path, format: Optional[str] = None) -> tuple[np.ndarray, dict]:
     """Read a matrix written by write_matrix; returns (matrix, meta)."""
-    fmt = format or _infer_matrix_format(path)
+    fmt = format or _infer_text_format(path)
     if fmt == "csv":
-        rows = []
         meta = {}
         declared = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                if stripped.startswith("#"):
-                    body = stripped.lstrip("#").strip()
-                    if "=" in body:
-                        if body.startswith("rows="):
-                            try:
-                                parts = dict(kv.split("=", 1) for kv in body.split())
-                                declared = (int(parts["rows"]), int(parts["cols"]))
-                            except (KeyError, ValueError) as exc:
-                                raise FormatError(
-                                    f"{path}: bad dimension comment on line {lineno}, "
-                                    f"expected '# rows=R cols=C'") from exc
-                        else:
-                            key, value = body.split("=", 1)
-                            meta[key.strip()] = value.strip()
-                    continue
+
+        def on_comment(lineno, body):
+            nonlocal declared
+            if body.startswith("rows="):
                 try:
-                    rows.append([float(c) for c in stripped.split(",")])
-                except ValueError as exc:
-                    raise FormatError(f"{path}: bad matrix row at line {lineno}") from exc
-        m = np.asarray(rows, dtype=np.float64)
-        if m.ndim != 2:
+                    parts = dict(kv.split("=", 1) for kv in body.split())
+                    declared = (int(parts["rows"]), int(parts["cols"]))
+                except (KeyError, ValueError) as exc:
+                    raise FormatError(f"{path}: bad dimension comment on line {lineno}, "
+                                      f"expected '# rows=R cols=C'") from exc
+            elif "=" in body:
+                key, value = body.split("=", 1)
+                meta[key.strip()] = value.strip()
+
+        _, m, _ = _read_csv_table(path, on_comment,
+                                  lambda lines: [line.split(",") for line in lines],
+                                  "{path}: bad matrix row at line {line}")
+        if m is None:
             raise FormatError(f"{path}: ragged or empty matrix")
         if declared is not None and declared != m.shape:
             raise FormatError(f"{path}: header says {declared}, data is {m.shape}")

@@ -131,24 +131,34 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
     # The scale can overflow a tampered signal, so check before the FFT.
     if not np.isfinite(raw_samples).all():
         raise ValidationError("non-finite dft input")
-    if prov.mode == MODE_PAPER_COMPLEX:
-        raw = np.fft.fft(raw_samples)
-    else:
-        # Only bins <= n_out/2 are read, which is exactly what rfft returns.
-        raw = np.fft.rfft(raw_samples)
-    n = prov.n_samples
-    n_out = plan.n_out
-    idx = plan.assignments[:, :n // 2 + 1]
-    lower = raw[idx]
-    if prov.mode != MODE_PAPER_COMPLEX:
-        # Interior bins were halved by the Hermitian fold; DC and (even
-        # n_out) Nyquist were not.
-        edge = (idx == 0) | ((n_out % 2 == 0) & (idx == n_out // 2))
-        lower[~edge] *= 2.0
-
-    channels = np.empty((prov.p, n), dtype=np.float64)
-    channels[list(plan.stacking_order)] = np.fft.irfft(lower, n, axis=1)
-    return MultiChannelRecord(channels, prov.source_rate_hz, prov.channel_names)
+    # Finite samples at a huge scale can still overflow the FFTs, which only
+    # ever makes the channels non-finite. The record's own finiteness check
+    # catches that, so a good signal pays for no extra pass.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if prov.mode == MODE_PAPER_COMPLEX:
+            raw = np.fft.fft(raw_samples)
+        else:
+            # Only bins <= n_out/2 are read, which is exactly what rfft returns.
+            raw = np.fft.rfft(raw_samples)
+        n = prov.n_samples
+        n_out = plan.n_out
+        idx = plan.assignments[:, :n // 2 + 1]
+        lower = raw[idx]
+        if prov.mode != MODE_PAPER_COMPLEX:
+            # Interior bins were halved by the Hermitian fold; DC and (even
+            # n_out) Nyquist were not.
+            edge = (idx == 0) | ((n_out % 2 == 0) & (idx == n_out // 2))
+            lower[~edge] *= 2.0
+        channels = np.empty((prov.p, n), dtype=np.float64)
+        channels[list(plan.stacking_order)] = np.fft.irfft(lower, n, axis=1)
+    try:
+        return MultiChannelRecord(channels, prov.source_rate_hz, prov.channel_names)
+    except ValidationError as exc:
+        if np.isfinite(channels).all():
+            raise
+        raise DecodeError(
+            f"the wideband spectrum overflows float64 at scale "
+            f"2**{math.log2(prov.scale):.0f}; the samples do not fit their sidecar") from exc
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 Nothing here may call into the code paths it checks: the DFT oracle is the
 direct quadratic sum (no FFT), the nearest-bin oracle is a literal
-scan-every-candidate loop, and the stacking and collision oracles are the
-plain overwrite loop. Expected values in the test modules were computed with these.
+scan-every-candidate loop, the stacking and collision oracles are the
+plain overwrite loop, and the CSV reader and writer are the cell-by-cell
+loops that the block versions replaced. Expected values in the test modules
+were computed with these.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -83,6 +87,82 @@ def collisions_literal(assignments, n_out):
             if last_writer[int(idx[j])] != (b, j):
                 return collision_count, False, (b, j)
     return collision_count, True, None
+
+
+def read_csv_record_literal(path, rate_hz=None):
+    """The cell-by-cell CSV record reader that the block reader replaced:
+    one csv.reader and one float() per cell, errors raised in file order."""
+    from bandstack.model import FormatError, MultiChannelRecord
+
+    names = None
+    rows = []
+    file_rate = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                body = stripped.lstrip("#").strip()
+                if body.startswith("rate_hz="):
+                    try:
+                        file_rate = float(body.split("=", 1)[1])
+                    except ValueError as exc:
+                        raise FormatError(f"{path}: bad rate comment on line {lineno}") from exc
+                continue
+            cells = next(csv.reader([line]))
+            cells = [c.strip() for c in cells]
+            if not rows and names is None:
+                try:
+                    rows.append([float(c) for c in cells])
+                except ValueError:
+                    names = tuple(cells)
+                continue
+            parsed = []
+            for col, c in enumerate(cells, start=1):
+                try:
+                    parsed.append(float(c))
+                except ValueError as exc:
+                    raise FormatError(
+                        f"{path}: non-numeric value {c!r} at line {lineno}, column {col}"
+                    ) from exc
+            rows.append(parsed)
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise FormatError(f"{path}: inconsistent column counts {sorted(widths)}")
+    rate = rate_hz if rate_hz is not None else file_rate
+    if rate is None:
+        raise FormatError(f"{path}: sample rate not given (pass rate_hz or add a "
+                          f"'# rate_hz=...' comment)")
+    data = np.asarray(rows, dtype=np.float64).T
+    return MultiChannelRecord(data, rate, channel_names=names)
+
+
+def write_csv_record_literal(record, path) -> None:
+    """The line-by-line CSV record writer that the block writer replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# rate_hz={record.sample_rate_hz!r}\n")
+        if record.channel_names:
+            fh.write(",".join(record.channel_names) + "\n")
+        for row in record.channels.T:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def read_outcome(read):
+    """What ``read()`` made of a file: the record's exact bytes, rate and
+    names, or its error as (type, message)."""
+    try:
+        rec = read()
+    except Exception as exc:  # the outcome under comparison, errors included
+        return type(exc), str(exc)
+    return rec.channels.tobytes(), rec.sample_rate_hz, rec.channel_names
+
+
+def csv_rows_literal(matrix) -> str:
+    """One line of shortest-repr cells per matrix row, formatted cell by cell."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
 
 
 def rel_max_err(got, want) -> float:

@@ -230,3 +230,23 @@ def test_missing_input_is_io_error(tmp_path, capsys):
     rc = main(["encode", str(tmp_path / "ghost.csv"), str(tmp_path / "o.wav"),
                "--target-rate", "100"])
     assert rc == 1
+
+
+def test_encode_non_utf8_csv_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"# rate_hz=32\nc1,c2\n1,2\n3,\xff\n")
+    rc = main(["encode", str(path), str(tmp_path / "o.wav"), "--target-rate", "128"])
+    assert rc == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_decode_compare_non_utf8_csv_is_validation_error(tmp_path, record_csv, capsys):
+    csv_path, _ = record_csv
+    wav = tmp_path / "out.wav"
+    assert main(["encode", str(csv_path), str(wav), "--target-rate", "192"]) == 0
+    bad = tmp_path / "orig.csv"
+    bad.write_bytes(csv_path.read_bytes().replace(b"c2", b"c\xe92"))
+    capsys.readouterr()
+    rc = main(["decode", str(wav), str(tmp_path / "back.csv"), "--compare", str(bad)])
+    assert rc == 2
+    assert "not UTF-8" in capsys.readouterr().err

@@ -17,7 +17,14 @@ from bandstack.model import (
     ValidationError,
 )
 from bandstack.transform import decode, encode
-from helpers import random_record, rel_max_err
+from helpers import (
+    csv_rows_literal,
+    random_record,
+    read_csv_record_literal,
+    read_outcome,
+    rel_max_err,
+    write_csv_record_literal,
+)
 
 
 def test_csv_roundtrip_with_names_and_rate_comment(tmp_path):
@@ -61,6 +68,138 @@ def test_csv_ragged_columns_rejected(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2\n3\n")
     with pytest.raises(FormatError, match="column counts"):
+        bio.read_multichannel(path, rate_hz=10.0)
+
+
+BLOCK = bio._BLOCK_ROWS
+
+
+def _numbered_rows(n_rows, p=3):
+    return [",".join(f"{r}.{c}" for c in range(p)) for r in range(n_rows)]
+
+
+def test_csv_block_reader_matches_literal(tmp_path):
+    # Every reading rule at once, over more than two blocks: a names header,
+    # comments (a second rate comment wins) and blank lines between data
+    # rows, quoted cells, whitespace around cells, odd spellings, CRLF.
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((2 * BLOCK + 300, 3)) * 10.0 ** rng.integers(-300, 300, (1, 3))
+    spellings = [repr, lambda v: f'"{v!r}"  ', lambda v: f"  {v!r}\t", lambda v: f"{v:.17e}"]
+    lines = ["# rate_hz=100.0", ' Fp1 ,"C,z",  O2 ']
+    for r, row in enumerate(values.tolist()):
+        lines.append(",".join(spellings[(r + c) % 4](v) for c, v in enumerate(row)))
+        if r % 97 == 0:
+            lines += ["", "# a note", "   "]
+        if r == BLOCK + 5:
+            lines.append("# rate_hz=250.0")
+    lines += ["1_0,.5,-0.0", "1e-400,5e-324,-1e300", "\u0661\u0662,+.5e+3,\u00a02"]
+    path = tmp_path / "rec.csv"
+    path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+    want = read_outcome(lambda: read_csv_record_literal(path))
+    assert len(want[0]) == 8 * 3 * (2 * BLOCK + 303)  # every data row, as float64
+    assert want[1:] == (250.0, ("Fp1", "C,z", "O2"))
+    assert read_outcome(lambda: bio.read_multichannel(path)) == want
+
+
+@pytest.mark.parametrize("quoted, parses", [
+    ({10: '"1.5",2,"3', BLOCK + 20: '4,5,"6'}, True),
+    # across lines, '1,2,"3' + '"' would read as one good row '1,2,"3\n"'
+    ({10: '1,2,"3', 11: '"'}, False),
+])
+def test_csv_quote_running_across_lines_matches_literal(tmp_path, quoted, parses):
+    # the reference parses each line alone, so an unclosed quote ends at
+    # its line; one csv.reader over a block would run it into the next
+    lines = _numbered_rows(BLOCK + 50)
+    for r, line in quoted.items():
+        lines[r] = line
+    path = tmp_path / "q.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = read_outcome(lambda: read_csv_record_literal(path, 10.0))
+    assert isinstance(want[0], bytes) == parses
+    assert read_outcome(lambda: bio.read_multichannel(path, rate_hz=10.0)) == want
+
+
+def _bad_cell_in_second_block(lines):
+    lines[BLOCK + 10] = "1,oops,3"
+
+
+def _ragged_across_boundary(lines):
+    for r in range(BLOCK, len(lines)):
+        lines[r] = lines[r].rsplit(",", 1)[0]
+
+
+def _ragged_at_boundary(lines):
+    lines[BLOCK] = "1,2"
+
+
+def _bad_cell_before_ragged(lines):
+    lines[7] = "1,2,x y"
+    lines[BLOCK + 3] = "1,2,3,4"
+
+
+def _ragged_before_bad_cell(lines):
+    lines[7] = "1,2"
+    lines[BLOCK + 3] = "1,,3"
+
+
+def _bad_rate_after_bad_cell(lines):
+    lines[20] = "1,2,?"
+    lines[30] = "# rate_hz=fast"
+
+
+def _bad_rate_before_bad_cell(lines):
+    lines[20] = "# rate_hz=fast"
+    lines[30] = "1,2,?"
+
+
+def _bad_rate_after_ragged(lines):
+    lines[20] = "1,2"
+    lines[BLOCK + 30] = "# rate_hz=fast"
+
+
+def _header_only(lines):
+    del lines[1:]
+    lines[0] = "a,b,c"
+
+
+@pytest.mark.parametrize("damage", [
+    _bad_cell_in_second_block, _ragged_across_boundary, _ragged_at_boundary,
+    _bad_cell_before_ragged, _ragged_before_bad_cell, _bad_rate_after_bad_cell,
+    _bad_rate_before_bad_cell, _bad_rate_after_ragged, _header_only,
+])
+def test_csv_block_reader_errors_match_literal(tmp_path, damage):
+    lines = _numbered_rows(2 * BLOCK + 40)
+    damage(lines)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = read_outcome(lambda: read_csv_record_literal(path, 10.0))
+    assert want[0] is FormatError
+    assert read_outcome(lambda: bio.read_multichannel(path, rate_hz=10.0)) == want
+
+
+def test_csv_block_writer_bytes_match_literal(tmp_path):
+    rng = np.random.default_rng(6)
+    channels = rng.standard_normal((4, 2 * BLOCK + 77))
+    channels[:, :5] = [[-0.0], [5e-324], [1.7976931348623157e308], [0.1]]
+    for names in (None, ("a", "b", "c", "d")):
+        rec = MultiChannelRecord(channels, 1000.0 / 3.0, channel_names=names)
+        bio.write_multichannel(rec, tmp_path / "new.csv")
+        write_csv_record_literal(rec, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_non_utf8_record_is_a_format_error(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"# rate_hz=10\n1,2\n3,\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        bio.read_multichannel(path)
+
+
+def test_csv_unreadable_cell_is_a_format_error(tmp_path):
+    # a cell past the csv module's field size limit used to escape as csv.Error
+    path = tmp_path / "huge.csv"
+    path.write_text("1,2\n3," + "4" * 200_000 + "\n")
+    with pytest.raises(FormatError, match="unreadable CSV at line 2"):
         bio.read_multichannel(path, rate_hz=10.0)
 
 
@@ -332,13 +471,17 @@ def test_sidecar_scale_survives_bit_exactly(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "raw-f64"])
 def test_matrix_roundtrip(tmp_path, fmt):
+    # 513 x 621 (the paper's spectrogram shape) spans more than one CSV block
     rng = np.random.default_rng(3)
-    m = rng.standard_normal((9, 13))
+    m = rng.standard_normal((513, 621))
     path = tmp_path / ("m.csv" if fmt == "csv" else "m.f64")
     bio.write_matrix(m, path, format=fmt, meta={"feature": "test"})
     back, meta = bio.read_matrix(path, format=fmt)
     assert np.array_equal(back, m)
     assert meta.get("feature") == "test"
+    if fmt == "csv":
+        header = "# rows=513 cols=621\n# feature=test\n"
+        assert path.read_text() == header + csv_rows_literal(m)
 
 
 def test_matrix_paper_shape_roundtrip(tmp_path):
@@ -361,6 +504,26 @@ def test_matrix_bad_dimension_comment_rejected(tmp_path, comment):
     path = tmp_path / "m.csv"
     path.write_text(f"{comment}\n1.0,2.0\n3.0,4.0\n")
     with pytest.raises(FormatError, match="dimension comment"):
+        bio.read_matrix(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3\n", "ragged or empty matrix"),  # once a bare numpy ValueError
+    ("# rows=1 cols=1\n", "ragged or empty matrix"),
+    ("1,2\n3,x\n", "bad matrix row at line 2"),
+    ("1,2\n3,x\n# rows=z\n", "bad matrix row at line 2"),
+])
+def test_matrix_csv_rejects(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        bio.read_matrix(path)
+
+
+def test_matrix_non_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"# rows=1 cols=2\n1.0,\xfe\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
         bio.read_matrix(path)
 
 

@@ -1,6 +1,7 @@
 """Encode/decode pipeline: round trips, mode relations, lossy accounting."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,23 @@ def test_decode_rejects_overflowing_scale(mode):
     )
     with pytest.raises(ValidationError, match="non-finite dft input"):
         decode(forged)
+
+
+@pytest.mark.parametrize("mode", [MODE_REAL_HERMITIAN, MODE_PAPER_COMPLEX])
+def test_decode_blames_the_spectrum_when_its_fft_overflows(mode):
+    # a tampered file whose scaled samples are finite (1.8 * 2**1023 < max
+    # float64) but whose spectrum sums past the float64 range
+    rec = random_record(np.random.default_rng(1), 2, 16, 8.0)
+    sig = encode(rec, _cfg(2, 32.0, mode=mode))
+    forged = WidebandSignal(
+        np.full_like(sig.samples, 1.8 + 1.8j if sig.is_complex else 1.8),
+        sig.rate_hz,
+        dataclasses.replace(sig.provenance, scale=2.0 ** 1023),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
+        with pytest.raises(DecodeError, match=r"wideband spectrum overflows .* 2\*\*1023"):
+            decode(forged)
 
 
 def test_roundtrip_nonintegral_duration_product():
