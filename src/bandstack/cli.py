@@ -215,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--mode", choices=MODES, default=MODE_REAL_HERMITIAN)
     enc.add_argument("--order", default="identity",
                      help="'identity', 'reverse', or a 1-based permutation like 3,1,2")
-    enc.add_argument("--input-format", choices=("csv", "raw-f64"), default=None)
-    enc.add_argument("--wideband-format", choices=("wav-f32", "raw-f64"), default=None)
+    enc.add_argument("--input-format", choices=bio.RECORD_FORMATS, default=None)
+    enc.add_argument("--wideband-format", choices=bio.WIDEBAND_FORMATS, default=None)
     enc.set_defaults(func=cmd_encode)
 
     dec = sub.add_parser("decode", help="recover the channels from a wideband file")
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("output")
     dec.add_argument("--compare", default=None,
                      help="original record (CSV/raw) to report per-channel RMSE against")
-    dec.add_argument("--output-format", choices=("csv", "raw-f64"), default=None)
+    dec.add_argument("--output-format", choices=bio.RECORD_FORMATS, default=None)
     dec.set_defaults(func=cmd_decode)
 
     ver = sub.add_parser("verify", help="measure encode->decode fidelity of a record")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--threshold", type=float, default=1e-9,
                      help="relative max-abs error below which exit code is 0")
     ver.add_argument("--json", action="store_true")
-    ver.add_argument("--input-format", choices=("csv", "raw-f64"), default=None)
+    ver.add_argument("--input-format", choices=bio.RECORD_FORMATS, default=None)
     ver.set_defaults(func=cmd_verify)
 
     spec = sub.add_parser("spectrogram", help="magnitude STFT of a wideband file")
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--paper-shape", action="store_true",
                       help="drop the final frame (some toolkits do)")
     spec.add_argument("--log", action="store_true", help="log-magnitude (dB)")
-    spec.add_argument("--matrix-format", choices=("csv", "raw-f64"), default=None)
+    spec.add_argument("--matrix-format", choices=bio.RECORD_FORMATS, default=None)
     spec.set_defaults(func=cmd_spectrogram)
 
     syn = sub.add_parser("synth", help="generate a deterministic synthetic record")
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--tones", default=None,
                      help="comma-separated CH:FREQ[:AMP[:PHASE]] entries (1-based channel)")
     syn.add_argument("--seed", type=int, default=0)
-    syn.add_argument("--output-format", choices=("csv", "raw-f64"), default=None)
+    syn.add_argument("--output-format", choices=bio.RECORD_FORMATS, default=None)
     syn.set_defaults(func=cmd_synth)
 
     info = sub.add_parser("info", help="print the sidecar of an artifact file")

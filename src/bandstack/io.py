@@ -2,12 +2,14 @@
 
 Every binary artifact travels with a JSON sidecar (``<data>.sidecar``) that
 carries the dimensions and, for wideband signals, the full decode provenance.
-Formats:
+All kinds share one format resolver, one raw-f64 reader/writer pair and one
+sidecar writer, whose text ``sidecar.sidecar_text`` builds. Formats:
 
   * CSV records - UTF-8, one column per channel, optional ``# rate_hz=...``
     comment and optional header row of channel names.
-  * raw-f64 - little-endian IEEE-754 doubles, channel-major (records) or
-    row-major (matrices); bit-exact round trips.
+  * raw-f64 - little-endian IEEE-754 doubles in C order: channel-major
+    records, row-major matrices, and one plane (real) or two planes (real
+    then imaginary) of wideband samples; bit-exact round trips.
   * WAV - RIFF/WAVE, format 3 (IEEE float), mono, 32-bit, for real-mode
     wideband signals only. The f32 narrowing is the only loss on this path.
 
@@ -16,7 +18,8 @@ memory a file's text takes. Reading rules: ``#`` comment lines and blank
 lines may appear anywhere; a record's first data line is a header of
 channel names unless every cell is a number; record cells may be quoted
 (``"1.5"``, ``"C,z"``); whitespace around a cell is ignored; text that is
-not UTF-8 is a FormatError (CLI exit code 2). Values are written as the
+not UTF-8 is a FormatError (CLI exit code 2). Errors come in file order,
+also when a file ends inside a UTF-8 character. Values are written as the
 shortest repr that round-trips, so the output bytes depend only on the
 values, and they re-read bit-exactly.
 """
@@ -24,7 +27,7 @@ values, and they re-read bit-exactly.
 from __future__ import annotations
 
 import csv as _csv
-import json
+import math
 import os
 import struct
 from dataclasses import replace
@@ -39,7 +42,7 @@ from bandstack.model import (
     ValidationError,
     WidebandSignal,
 )
-from bandstack.sidecar import FORMAT_VERSION, WIDEBAND_FORMATS, SidecarHeader, read_sidecar
+from bandstack.sidecar import WIDEBAND_FORMATS, SidecarHeader, read_sidecar, sidecar_text
 
 __all__ = [
     "SidecarHeader",
@@ -50,18 +53,45 @@ __all__ = [
     "sidecar_path", "read_sidecar_file",
 ]
 
-RECORD_FORMATS = ("csv", "raw-f64")
-MATRIX_FORMATS = ("csv", "raw-f64")
+RECORD_FORMATS = ("csv", "raw-f64")  # records and matrices
+# artifact kind -> (its formats, the file suffix that selects the first one)
+_FORMATS = {"record": (RECORD_FORMATS, ".csv"), "matrix": (RECORD_FORMATS, ".csv"),
+            "wideband": (WIDEBAND_FORMATS, ".wav")}
+
+
+def _resolve_format(path, fmt: Optional[str], kind: str) -> str:
+    """The format of a ``kind`` file: ``fmt`` if it is one of the kind's
+    formats; when None, the one the file's suffix selects, else raw-f64."""
+    formats, suffix = _FORMATS[kind]
+    if fmt is None:
+        return formats[0] if os.fspath(path).lower().endswith(suffix) else "raw-f64"
+    if fmt not in formats:
+        raise ValidationError(f"unknown {kind} format {fmt!r}; expected one of {formats}")
+    return fmt
 
 
 def sidecar_path(path) -> str:
     return os.fspath(path) + ".sidecar"
 
 
-def _write_sidecar(path, payload: dict) -> None:
+def _write_sidecar(path, text: str) -> None:
     with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_raw(path, array: np.ndarray) -> None:
+    """Write the raw-f64 layout: little-endian doubles in C order."""
+    np.asarray(array, dtype="<f8").tofile(path)
+
+
+def _read_raw(path, shape: tuple[int, ...]) -> np.ndarray:
+    """Read a raw-f64 file that must hold exactly ``shape`` doubles."""
+    data = np.fromfile(path, dtype="<f8")
+    size = math.prod(shape)
+    if data.size != size:
+        want = "*".join(map(str, shape)) + (f"={size}" if len(shape) > 1 else "")
+        raise FormatError(f"{path}: expected {want} doubles, found {data.size}")
+    return data.reshape(shape)
 
 
 def _read_sidecar(path, kind=None) -> dict:
@@ -78,10 +108,7 @@ def _read_sidecar(path, kind=None) -> dict:
 
 def read_sidecar_file(path) -> dict:
     """Parse and check a sidecar (given its own path or the data file's path)."""
-    p = os.fspath(path)
-    if p.endswith(".sidecar"):
-        p = p[: -len(".sidecar")]
-    payload = _read_sidecar(p)
+    payload = _read_sidecar(os.fspath(path).removesuffix(".sidecar"))
     if payload["kind"] == "wideband":
         SidecarHeader.from_payload(payload)  # its invariants span several fields
     return payload
@@ -97,34 +124,29 @@ def _csv_blocks(path, fh, on_comment):
     """Yield ``(lines, linenos)`` blocks of up to _BLOCK_ROWS data lines.
 
     Blank lines are skipped and ``on_comment(lineno, body)`` sees each ``#``
-    line. An error it raises comes after the block before it, so errors
-    surface in file order.
+    line. An error it raises, or text that is not UTF-8, comes after the
+    block before it, so errors surface in file order.
     """
-    lines, linenos = [], []
+    lines, linenos, error = [], [], None
     try:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if not stripped:
-                continue
             if stripped.startswith("#"):
-                try:
-                    on_comment(lineno, stripped.lstrip("#").strip())
-                except FormatError as exc:
-                    error = exc
-                else:
-                    continue
-                if lines:
+                on_comment(lineno, stripped.lstrip("#").strip())
+            elif stripped:
+                lines.append(line)
+                linenos.append(lineno)
+                if len(lines) == _BLOCK_ROWS:
                     yield lines, linenos
-                raise error
-            lines.append(line)
-            linenos.append(lineno)
-            if len(lines) == _BLOCK_ROWS:
-                yield lines, linenos
-                lines, linenos = [], []
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+                    lines, linenos = [], []
+    except (UnicodeDecodeError, FormatError) as exc:  # raised after the pending block
+        error = exc
     if lines:
         yield lines, linenos
+    if isinstance(error, UnicodeDecodeError):
+        raise FormatError(f"{path}: not UTF-8 text ({error.reason})") from error
+    if error is not None:
+        raise error
 
 
 def _read_csv_table(path, on_comment, split, bad_cell, header=False):
@@ -189,10 +211,6 @@ def _write_csv_rows(fh, rows: np.ndarray) -> None:
                           for row in rows[start:start + _BLOCK_ROWS].tolist()]))
 
 
-def _infer_text_format(path) -> str:
-    return "csv" if os.fspath(path).lower().endswith(".csv") else "raw-f64"
-
-
 # ---------------------------------------------------------------------------
 # multichannel records
 
@@ -203,12 +221,12 @@ def read_multichannel(path, format: Optional[str] = None,
     For CSV the sample rate comes from ``rate_hz`` or a ``# rate_hz=...``
     comment; raw-f64 takes everything from the sidecar.
     """
-    fmt = format or _infer_text_format(path)
-    if fmt == "csv":
+    if _resolve_format(path, format, "record") == "csv":
         return _read_csv_record(path, rate_hz)
-    if fmt == "raw-f64":
-        return _read_raw_record(path)
-    raise ValidationError(f"unknown record format {fmt!r}; expected one of {RECORD_FORMATS}")
+    payload = _read_sidecar(path, "record")
+    return MultiChannelRecord(_read_raw(path, (payload["p"], payload["n_samples"])),
+                              float(payload["source_rate_hz"]),
+                              channel_names=payload.get("channel_names") or None)
 
 
 def _read_csv_record(path, rate_hz):
@@ -236,43 +254,21 @@ def _read_csv_record(path, rate_hz):
     return MultiChannelRecord(data.T, rate, channel_names=names)  # columns are channels
 
 
-def _read_raw_record(path):
-    payload = _read_sidecar(path, "record")
-    p, n = payload["p"], payload["n_samples"]
-    rate = float(payload["source_rate_hz"])
-    names = payload.get("channel_names")
-    data = np.fromfile(path, dtype="<f8")
-    if data.size != p * n:
-        raise FormatError(f"{path}: expected {p}*{n}={p * n} doubles, found {data.size}")
-    return MultiChannelRecord(data.reshape(p, n), rate,
-                              channel_names=tuple(names) if names else None)
-
-
 def write_multichannel(record: MultiChannelRecord, path,
                        format: Optional[str] = None) -> None:
     """Write a record as CSV (self-describing) or raw-f64 + sidecar."""
-    fmt = format or _infer_text_format(path)
-    if fmt == "csv":
+    if _resolve_format(path, format, "record") == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# rate_hz={record.sample_rate_hz!r}\n")
             if record.channel_names:
                 fh.write(",".join(record.channel_names) + "\n")
             _write_csv_rows(fh, record.channels.T)
         return
-    if fmt == "raw-f64":
-        record.channels.astype("<f8").tofile(path)
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "record",
-            "p": record.p,
-            "n_samples": record.n_samples,
-            "source_rate_hz": record.sample_rate_hz,
-        }
-        if record.channel_names:
-            payload["channel_names"] = list(record.channel_names)
-        _write_sidecar(path, payload)
-        return
-    raise ValidationError(f"unknown record format {fmt!r}; expected one of {RECORD_FORMATS}")
+    _write_raw(path, record.channels)
+    _write_sidecar(path, sidecar_text("record", {
+        "p": record.p, "n_samples": record.n_samples,
+        "source_rate_hz": record.sample_rate_hz,
+        "channel_names": list(record.channel_names) if record.channel_names else None}))
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +337,14 @@ def read_wav_f32(path) -> tuple[int, np.ndarray]:
                           f"got format {tag}/{bits}-bit")
     if channels != 1:
         raise FormatError(f"{path}: need mono, got {channels} channels")
+    if len(data) % 4:
+        raise FormatError(f"{path}: data chunk size {len(data)} is not a multiple of 4")
     samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     return rate, samples
 
 
 # ---------------------------------------------------------------------------
 # wideband signals
-
-def _infer_wideband_format(path) -> str:
-    return "wav-f32" if os.fspath(path).lower().endswith(".wav") else "raw-f64"
-
 
 def write_wideband(signal: WidebandSignal, path, format: Optional[str] = None) -> None:
     """Persist a wideband signal plus its mandatory sidecar.
@@ -359,25 +353,17 @@ def write_wideband(signal: WidebandSignal, path, format: Optional[str] = None) -
     raw-f64 keeps complex signals as two planes (real then imaginary) and is
     bit-exact.
     """
-    fmt = format or _infer_wideband_format(path)
-    if fmt not in WIDEBAND_FORMATS:
-        raise ValidationError(f"unknown wideband format {fmt!r}; "
-                              f"expected one of {WIDEBAND_FORMATS}")
-    if fmt == "wav-f32":
-        if signal.is_complex:
-            raise ValidationError(
-                "complex-mode signal cannot be exported as WAV (not playable); "
-                "use raw-f64")
-        write_wav_f32(path, signal.samples, signal.rate_hz)
+    fmt = _resolve_format(path, format, "wideband")
+    samples = signal.samples
+    if fmt == "raw-f64":
+        _write_raw(path, np.stack([samples.real, samples.imag]) if signal.is_complex
+                   else samples)
+    elif signal.is_complex:
+        raise ValidationError(
+            "complex-mode signal cannot be exported as WAV (not playable); use raw-f64")
     else:
-        if signal.is_complex:
-            planes = np.concatenate([signal.samples.real, signal.samples.imag])
-        else:
-            planes = signal.samples
-        planes.astype("<f8").tofile(path)
-    header = replace(signal.provenance, data_format=fmt)
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        fh.write(header.to_json())
+        write_wav_f32(path, samples, signal.rate_hz)
+    _write_sidecar(path, replace(signal.provenance, data_format=fmt).to_json())
 
 
 def read_wideband(path) -> WidebandSignal:
@@ -385,26 +371,21 @@ def read_wideband(path) -> WidebandSignal:
     the f32 quantization (~1e-7 relative)."""
     header = SidecarHeader.from_payload(_read_sidecar(path, "wideband"))
     n_out = header.n_out
-    if header.data_format == "wav-f32":
+    if header.data_format == "raw-f64":
         if header.mode == MODE_PAPER_COMPLEX:
-            raise FormatError(f"{path}: paper-complex signals cannot live in WAV")
-        rate, samples = read_wav_f32(path)
-        if rate != int(round(header.target_rate_hz)):
-            raise FormatError(f"{path}: WAV rate {rate} disagrees with sidecar "
-                              f"target_rate_hz {header.target_rate_hz}")
-        if samples.shape[0] != n_out:
-            raise FormatError(f"{path}: expected {n_out} samples, found {samples.shape[0]}")
-    else:
-        data = np.fromfile(path, dtype="<f8")
-        if header.mode == MODE_PAPER_COMPLEX:
-            if data.size != 2 * n_out:
-                raise FormatError(f"{path}: expected {2 * n_out} doubles (two planes), "
-                                  f"found {data.size}")
-            samples = data[:n_out] + 1j * data[n_out:]
+            real, imag = _read_raw(path, (2, n_out))
+            samples = real + 1j * imag
         else:
-            if data.size != n_out:
-                raise FormatError(f"{path}: expected {n_out} doubles, found {data.size}")
-            samples = data
+            samples = _read_raw(path, (n_out,))
+        return WidebandSignal(samples, header.target_rate_hz, header)
+    if header.mode == MODE_PAPER_COMPLEX:
+        raise FormatError(f"{path}: paper-complex signals cannot live in WAV")
+    rate, samples = read_wav_f32(path)
+    if rate != int(round(header.target_rate_hz)):
+        raise FormatError(f"{path}: WAV rate {rate} disagrees with sidecar "
+                          f"target_rate_hz {header.target_rate_hz}")
+    if samples.shape[0] != n_out:
+        raise FormatError(f"{path}: expected {n_out} samples, found {samples.shape[0]}")
     return WidebandSignal(samples, header.target_rate_hz, header)
 
 
@@ -424,33 +405,22 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
     if not np.isfinite(m).all():
         bad = np.argwhere(~np.isfinite(m))[0]
         raise ValidationError(f"non-finite matrix entry at {tuple(int(v) for v in bad)}")
-    fmt = format or _infer_text_format(path)
-    if fmt == "csv":
+    if _resolve_format(path, format, "matrix") == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# rows={m.shape[0]} cols={m.shape[1]}\n")
             for key, value in (meta or {}).items():
                 fh.write(f"# {key}={value}\n")
             _write_csv_rows(fh, m)
         return
-    if fmt == "raw-f64":
-        m.astype("<f8").tofile(path)
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "matrix",
-            "rows": m.shape[0],
-            "cols": m.shape[1],
-        }
-        if meta:
-            payload["meta"] = {str(k): str(v) for k, v in meta.items()}
-        _write_sidecar(path, payload)
-        return
-    raise ValidationError(f"unknown matrix format {fmt!r}; expected one of {MATRIX_FORMATS}")
+    _write_raw(path, m)
+    _write_sidecar(path, sidecar_text("matrix", {
+        "rows": m.shape[0], "cols": m.shape[1],
+        "meta": {str(k): str(v) for k, v in meta.items()} if meta else None}))
 
 
 def read_matrix(path, format: Optional[str] = None) -> tuple[np.ndarray, dict]:
     """Read a matrix written by write_matrix; returns (matrix, meta)."""
-    fmt = format or _infer_text_format(path)
-    if fmt == "csv":
+    if _resolve_format(path, format, "matrix") == "csv":
         meta = {}
         declared = None
 
@@ -475,12 +445,5 @@ def read_matrix(path, format: Optional[str] = None) -> tuple[np.ndarray, dict]:
         if declared is not None and declared != m.shape:
             raise FormatError(f"{path}: header says {declared}, data is {m.shape}")
         return m, meta
-    if fmt == "raw-f64":
-        payload = _read_sidecar(path, "matrix")
-        rows, cols = payload["rows"], payload["cols"]
-        data = np.fromfile(path, dtype="<f8")
-        if data.size != rows * cols:
-            raise FormatError(f"{path}: expected {rows}x{cols}={rows * cols} doubles, "
-                              f"found {data.size}")
-        return data.reshape(rows, cols), dict(payload.get("meta", {}))
-    raise ValidationError(f"unknown matrix format {fmt!r}; expected one of {MATRIX_FORMATS}")
+    payload = _read_sidecar(path, "matrix")
+    return _read_raw(path, (payload["rows"], payload["cols"])), dict(payload.get("meta", {}))

@@ -46,7 +46,8 @@ class CollisionError(InfeasibleError):
 class DecodeError(BandstackError):
     """Decoding failed: the provenance contradicts itself (its collision_count
     differs from the plan of its own configuration) or the samples (complex
-    samples under a real mode)."""
+    samples under a real mode, or samples that at the provenance's scale, or
+    in their spectrum, overflow float64)."""
 
 
 class CollisionWarning(UserWarning):
@@ -295,9 +296,6 @@ class BandPlan:
     @property
     def grid_step_hz(self) -> float:
         return self.target_rate_hz / (self.n_out - 1)
-
-    def band_of_channel(self, channel: int) -> int:
-        return self.stacking_order.index(channel)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ object embedded in every WidebandSignal; on disk it is a small JSON file next
 to the data (``<data>.sidecar``). Raw records and matrices have sidecars too,
 holding only their dimensions.
 
-Every sidecar kind (wideband, record, matrix) is read by one strict reader,
-read_sidecar. Floats survive bit-exactly (shortest-repr round trip); unknown
-keys, unsupported versions and fields of the wrong type or range are
-rejected rather than ignored or coerced, so a future or tampered writer
-cannot silently feed this reader.
+Every sidecar kind (wideband, record, matrix) is written by one builder,
+sidecar_text, which stamps the format version and kind, and read by one
+strict reader, read_sidecar. Floats survive bit-exactly (shortest-repr round
+trip); unknown keys, unsupported versions and fields of the wrong type or
+range are rejected rather than ignored or coerced, so a future or tampered
+writer cannot silently feed this reader.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ _FIELDS = {
                {"channel_names": _TEXTS}),
     "matrix": ({"rows": _count(0), "cols": _count(0)}, {"meta": _TEXT_MAP}),
 }
+
+
+def sidecar_text(kind: str, fields: dict) -> str:
+    """The JSON text of one sidecar of ``kind``: the format version and kind,
+    then ``fields`` in their order, leaving out those that are None."""
+    payload = {"format_version": FORMAT_VERSION, "kind": kind}
+    payload.update((name, value) for name, value in fields.items() if value is not None)
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def read_sidecar(text: str, kind: Optional[str] = None) -> dict:
@@ -119,7 +128,6 @@ class SidecarHeader:
     collision_count: int
     channel_names: Optional[tuple[str, ...]] = None
     data_format: str = "raw-f64"
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         p = self.p
@@ -136,7 +144,8 @@ class SidecarHeader:
         if not (math.isfinite(scale) and scale > 0 and math.frexp(scale)[0] == 0.5):
             raise ValidationError(f"scale must be a finite positive power of two, "
                                   f"got {scale!r}")
-        if sorted(self.stacking_order) != list(range(p)):
+        # lengths first, so a tampered p cannot build a list of p integers
+        if len(self.stacking_order) != p or sorted(self.stacking_order) != list(range(p)):
             raise ValidationError(f"stacking_order must be a permutation of 0..{p - 1} "
                                   f"(0-based), got {self.stacking_order}")
         if self.mode not in MODES:
@@ -158,9 +167,7 @@ class SidecarHeader:
         return exact - self.n_out
 
     def to_json(self) -> str:
-        payload = {
-            "format_version": self.format_version,
-            "kind": "wideband",
+        return sidecar_text("wideband", {
             "p": self.p,
             "n_samples": self.n_samples,
             "source_rate_hz": self.source_rate_hz,
@@ -170,10 +177,8 @@ class SidecarHeader:
             "scale": self.scale,
             "collision_count": self.collision_count,
             "data_format": self.data_format,
-        }
-        if self.channel_names is not None:
-            payload["channel_names"] = list(self.channel_names)
-        return json.dumps(payload, indent=2) + "\n"
+            "channel_names": None if self.channel_names is None else list(self.channel_names),
+        })
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SidecarHeader":

@@ -49,7 +49,6 @@ from bandstack.model import (
     validate_record,
 )
 from bandstack.sidecar import SidecarHeader
-from bandstack.spectrum import inverse_fft
 
 
 def _normalization_scale(peak: float) -> float:
@@ -79,18 +78,23 @@ def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSigna
             f"{'met but not sufficient here' if plan.rate_feasible else 'violated'})",
             CollisionWarning, stacklevel=2)
 
-    stacked = apply_stacking(np.fft.fft(record.channels, axis=1), plan)
-
-    if config.mode == MODE_PAPER_COMPLEX:
-        samples = inverse_fft(stacked.bins)
-    else:
-        # Halving the interior bins makes the real inverse equal the real
-        # part of the complex one, which is what decode's doubling assumes.
-        lower = stacked.bins[:plan.n_out // 2 + 1].copy()
-        lower[1:(plan.n_out + 1) // 2] *= 0.5
-        samples = np.fft.irfft(lower, plan.n_out)
-
-    scale = _normalization_scale(float(np.abs(samples).max()))
+    # A finite record can still overflow the FFTs; that only ever makes the
+    # peak non-finite, so the peak is the one check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = apply_stacking(np.fft.fft(record.channels, axis=1), plan)
+        if config.mode == MODE_PAPER_COMPLEX:
+            samples = np.fft.ifft(stacked.bins)
+        else:
+            # Halving the interior bins makes the real inverse equal the real
+            # part of the complex one, which is what decode's doubling assumes.
+            lower = stacked.bins[:plan.n_out // 2 + 1].copy()
+            lower[1:(plan.n_out + 1) // 2] *= 0.5
+            samples = np.fft.irfft(lower, plan.n_out)
+        peak = float(np.abs(samples).max())
+    if not math.isfinite(peak):
+        raise ValidationError("the record's spectrum overflows float64; scale the "
+                              "channels down before encoding")
+    scale = _normalization_scale(peak)
     provenance = SidecarHeader(
         p=record.p,
         n_samples=record.n_samples,
@@ -127,14 +131,11 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
     if signal.is_complex and prov.mode != MODE_PAPER_COMPLEX:
         raise DecodeError(f"complex samples with mode {prov.mode!r}: mode mismatch")
 
-    raw_samples = signal.samples * prov.scale
-    # The scale can overflow a tampered signal, so check before the FFT.
-    if not np.isfinite(raw_samples).all():
-        raise ValidationError("non-finite dft input")
-    # Finite samples at a huge scale can still overflow the FFTs, which only
-    # ever makes the channels non-finite. The record's own finiteness check
-    # catches that, so a good signal pays for no extra pass.
+    # A huge scale can overflow a tampered signal's samples or its FFTs,
+    # which only ever makes the channels non-finite. The record's own
+    # finiteness check catches that, so a good signal pays for no extra pass.
     with np.errstate(over="ignore", invalid="ignore"):
+        raw_samples = signal.samples * prov.scale
         if prov.mode == MODE_PAPER_COMPLEX:
             raw = np.fft.fft(raw_samples)
         else:

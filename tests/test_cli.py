@@ -69,6 +69,15 @@ def test_verify_json_and_threshold(tmp_path, record_csv, capsys):
     assert "exceeds threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["real-hermitian", "paper-complex"])
+def test_encode_overflowing_record_is_validation_error(tmp_path, capsys, mode):
+    path = tmp_path / "huge.csv"
+    bio.write_multichannel(MultiChannelRecord(np.full((2, 64), 1.5e308), 10.0), path)
+    assert main(["encode", str(path), str(tmp_path / "out.f64"), "--target-rate", "40",
+                 "--mode", mode]) == 2
+    assert "spectrum overflows float64" in capsys.readouterr().err
+
+
 def test_info_prints_header_fields(tmp_path, record_csv, capsys):
     csv_path, _ = record_csv
     wav = tmp_path / "out.wav"

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -49,6 +49,9 @@ def csv_files(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(blob=csv_files(), rate=st.sampled_from([None, 250.0]), block=BLOCK_SIZES)
+# a bad cell, then a file that ends inside a UTF-8 character: the cell's error
+# comes first, as it does in file order
+@example(blob=b"# rate_hz=250\n1,2\n3,oops\n5,6\n\xc3", rate=None, block=bio._BLOCK_ROWS)
 def test_fuzzed_csv_reads_like_the_literal_reader(blob, rate, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rec.csv"

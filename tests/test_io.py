@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,22 @@ def test_bad_sidecar_field_rejected(tmp_path, capsys, kind, field, value):
         read(path)
     assert main(argv) == 2
     assert field in capsys.readouterr().err
+
+
+def test_sidecar_with_a_huge_channel_count_is_rejected_cheaply(tmp_path):
+    # a tampered p must not cost memory in proportion to p before it is refused
+    path = tmp_path / "wide.f64"
+    bio.write_wideband(_encode_small()[1], path)
+    sc = tmp_path / "wide.f64.sidecar"
+    sc.write_text(sc.read_text().replace('"p": 3', '"p": 1000000'))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="stacking_order"):
+            bio.read_wideband(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_future_version_rejected(tmp_path):

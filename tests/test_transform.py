@@ -224,7 +224,6 @@ def test_decode_rejects_wrong_collision_count():
         decode(forged)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode", [MODE_REAL_HERMITIAN, MODE_PAPER_COMPLEX])
 def test_decode_rejects_overflowing_scale(mode):
     # a tampered file: a stored sample of 3 with the largest legal scale
@@ -237,8 +236,10 @@ def test_decode_rejects_overflowing_scale(mode):
         sig.rate_hz,
         dataclasses.replace(sig.provenance, scale=2.0 ** 1023),
     )
-    with pytest.raises(ValidationError, match="non-finite dft input"):
-        decode(forged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
+        with pytest.raises(DecodeError, match=r"wideband spectrum overflows .* 2\*\*1023"):
+            decode(forged)
 
 
 @pytest.mark.parametrize("mode", [MODE_REAL_HERMITIAN, MODE_PAPER_COMPLEX])
@@ -256,6 +257,16 @@ def test_decode_blames_the_spectrum_when_its_fft_overflows(mode):
         warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
         with pytest.raises(DecodeError, match=r"wideband spectrum overflows .* 2\*\*1023"):
             decode(forged)
+
+
+@pytest.mark.parametrize("mode", [MODE_REAL_HERMITIAN, MODE_PAPER_COMPLEX])
+def test_encode_rejects_a_record_whose_spectrum_overflows(mode):
+    # every sample is finite, but the channel FFT sums past the float64 range
+    rec = MultiChannelRecord(np.full((2, 64), 1.5e308), 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
+        with pytest.raises(ValidationError, match="spectrum overflows float64"):
+            encode(rec, _cfg(2, 40.0, mode=mode))
 
 
 def test_roundtrip_nonintegral_duration_product():
