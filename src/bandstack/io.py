@@ -6,7 +6,8 @@ All kinds share one format resolver, one raw-f64 reader/writer pair and one
 sidecar writer, whose text ``sidecar.sidecar_text`` builds. Formats:
 
   * CSV records - UTF-8, one column per channel, optional ``# rate_hz=...``
-    comment and optional header row of channel names.
+    comment and optional channel names: a header row, or a
+    ``# channel_names=`` JSON list where a header row would be misread.
   * raw-f64 - little-endian IEEE-754 doubles in C order: channel-major
     records, row-major matrices, and one plane (real) or two planes (real
     then imaginary) of wideband samples; bit-exact round trips.
@@ -27,6 +28,7 @@ values, and they re-read bit-exactly.
 from __future__ import annotations
 
 import csv as _csv
+import json
 import math
 import os
 import struct
@@ -85,12 +87,17 @@ def _write_raw(path, array: np.ndarray) -> None:
 
 
 def _read_raw(path, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a raw-f64 file that must hold exactly ``shape`` doubles."""
-    data = np.fromfile(path, dtype="<f8")
+    """Read a raw-f64 file that must hold exactly ``shape`` doubles. A regular
+    file's size is checked before any of it is read."""
     size = math.prod(shape)
-    if data.size != size:
+    found = os.path.getsize(path) if os.path.isfile(path) else None
+    if found is None or found == 8 * size:
+        data = np.fromfile(path, dtype="<f8")
+        found = data.nbytes
+    if found != 8 * size:
         want = "*".join(map(str, shape)) + (f"={size}" if len(shape) > 1 else "")
-        raise FormatError(f"{path}: expected {want} doubles, found {data.size}")
+        stray = f" and {found % 8} stray bytes" if found % 8 else ""
+        raise FormatError(f"{path}: expected {want} doubles, found {found // 8}{stray}")
     return data.reshape(shape)
 
 
@@ -149,6 +156,17 @@ def _csv_blocks(path, fh, on_comment):
         raise error
 
 
+def _header_of(cells: list[str]) -> Optional[tuple[str, ...]]:
+    """The channel names a record's first data line gives: its cells, unless
+    every one is a number."""
+    for c in cells:
+        try:
+            float(c)
+        except ValueError:
+            return tuple(cells)
+    return None
+
+
 def _read_csv_table(path, on_comment, split, bad_cell, header=False):
     """Parse a CSV file's data lines; returns (names, data, widths).
 
@@ -170,12 +188,8 @@ def _read_csv_table(path, on_comment, split, bad_cell, header=False):
     with open(path, newline="", encoding="utf-8") as fh:
         for i, (lines, linenos) in enumerate(_csv_blocks(path, fh, on_comment)):
             if header and i == 0:
-                first = cells(lines[0], linenos[0])
-                try:
-                    for c in first:
-                        float(c)
-                except ValueError:
-                    names = tuple(first)
+                names = _header_of(cells(lines[0], linenos[0]))
+                if names is not None:
                     del lines[0], linenos[0]
                     if not lines:
                         continue
@@ -231,18 +245,33 @@ def read_multichannel(path, format: Optional[str] = None,
 
 def _read_csv_record(path, rate_hz):
     file_rate = None
+    comment_names = None
 
     def on_comment(lineno, body):
-        nonlocal file_rate
+        nonlocal file_rate, comment_names
         if body.startswith("rate_hz="):
             try:
                 file_rate = float(body.split("=", 1)[1])
             except ValueError as exc:
                 raise FormatError(f"{path}: bad rate comment on line {lineno}") from exc
+        elif body.startswith("channel_names="):
+            try:
+                comment_names = json.loads(body.split("=", 1)[1])
+            except (ValueError, RecursionError):
+                comment_names = None
+            if not (isinstance(comment_names, list)
+                    and all(isinstance(name, str) for name in comment_names)):
+                raise FormatError(f"{path}: bad channel_names comment on line {lineno}, "
+                                  f"expected a JSON list of strings")
 
     names, data, widths = _read_csv_table(
         path, on_comment, _csv.reader,
         "{path}: non-numeric value {cell!r} at line {line}, column {col}", header=True)
+    if comment_names is not None:
+        if names is not None:
+            raise FormatError(f"{path}: channel names given by both a "
+                              f"'# channel_names=' comment and a header row")
+        names = tuple(comment_names)
     if not widths:
         raise FormatError(f"{path}: no data rows")
     if data is None:
@@ -254,6 +283,17 @@ def _read_csv_record(path, rate_hz):
     return MultiChannelRecord(data.T, rate, channel_names=names)  # columns are channels
 
 
+def _header_names(row: str) -> Optional[tuple[str, ...]]:
+    """The names the reader takes from ``row`` as a record's first data line,
+    or None if it would read it as data, a comment, a blank or several lines."""
+    if "\r" in row or "\n" in row or row.strip()[:1] in ("", "#"):
+        return None
+    try:
+        return _header_of([c.strip() for c in next(_csv.reader([row]))])
+    except _csv.Error:
+        return None
+
+
 def write_multichannel(record: MultiChannelRecord, path,
                        format: Optional[str] = None) -> None:
     """Write a record as CSV (self-describing) or raw-f64 + sidecar."""
@@ -261,7 +301,10 @@ def write_multichannel(record: MultiChannelRecord, path,
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# rate_hz={record.sample_rate_hz!r}\n")
             if record.channel_names:
-                fh.write(",".join(record.channel_names) + "\n")
+                row = ",".join(record.channel_names)
+                if _header_names(row) != record.channel_names:
+                    row = f"# channel_names={json.dumps(list(record.channel_names))}"
+                fh.write(row + "\n")
             _write_csv_rows(fh, record.channels.T)
         return
     _write_raw(path, record.channels)
@@ -313,13 +356,14 @@ def read_wav_f32(path) -> tuple[int, np.ndarray]:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
+    view = memoryview(blob)  # chunks are slices of it, not copies
     pos = 12
     fmt = None
     data = None
     while pos + 8 <= len(blob):
         cid = blob[pos:pos + 4]
         (size,) = struct.unpack_from("<I", blob, pos + 4)
-        chunk = blob[pos + 8:pos + 8 + size]
+        chunk = view[pos + 8:pos + 8 + size]
         if len(chunk) < size:
             raise FormatError(f"{path}: truncated {cid!r} chunk")
         if cid == b"fmt ":

@@ -4,8 +4,10 @@ Nothing here may call into the code paths it checks: the DFT oracle is the
 direct quadratic sum (no FFT), the nearest-bin oracle is a literal
 scan-every-candidate loop, the stacking and collision oracles are the
 plain overwrite loop, and the CSV reader and writer are the cell-by-cell
-loops that the block versions replaced. Expected values in the test modules
-were computed with these.
+loops that the block versions replaced, and the feature oracles are the
+per-channel band loop and the fancy-index STFT gather that the batched
+features replaced. Expected values in the test modules were computed with
+these.
 """
 
 from __future__ import annotations
@@ -87,6 +89,39 @@ def collisions_literal(assignments, n_out):
             if last_writer[int(idx[j])] != (b, j):
                 return collision_count, False, (b, j)
     return collision_count, True, None
+
+
+def stft_magnitude_literal(x, window, overlap, paper_shape=False, log=False) -> np.ndarray:
+    """Frame-gather STFT: one (frames, window) fancy index into x, the
+    periodic Hann window, one rfft; (window//2 + 1) x frames."""
+    x = np.asarray(x, dtype=np.float64)
+    hop = window - overlap
+    frames = 1 + (x.shape[0] - window) // hop - int(paper_shape)
+    idx = hop * np.arange(frames)[:, None] + np.arange(window)[None, :]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    mag = np.abs(np.fft.rfft(x[idx] * hann, axis=1)).T
+    return 20.0 * np.log10(np.maximum(mag, 1e-12)) if log else mag
+
+
+def band_energies_literal(record):
+    """Per-channel full FFT, one boolean mask per band over the inclusive
+    grid k*f_s/(n-1), clipped at Nyquist; bands from Nyquist up absent."""
+    from bandstack.features import EEG_BANDS
+
+    nyquist = record.sample_rate_hz / 2.0
+    n = record.n_samples
+    freqs = np.arange(n) * (record.sample_rate_hz / (n - 1))
+    out = []
+    for channel in record.channels:
+        power = np.abs(np.fft.fft(channel)) ** 2
+        energies = {}
+        for name, (lo, hi) in EEG_BANDS.items():
+            if lo >= nyquist:
+                continue
+            mask = (freqs >= lo) & (freqs < min(hi, nyquist))
+            energies[name] = float(power[mask].sum())
+        out.append(energies)
+    return out
 
 
 def read_csv_record_literal(path, rate_hz=None):

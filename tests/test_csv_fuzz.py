@@ -104,3 +104,17 @@ def test_fuzzed_records_write_like_the_literal_writer(channels, names, block):
         write_csv_record_literal(rec, old)
         assert new.read_bytes() == old.read_bytes()
     assert back.channels.tobytes() == rec.channels.tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(names=st.integers(1, 3).flatmap(
+    lambda p: st.lists(st.one_of(st.text(max_size=6), st.sampled_from(
+        ["1", " nan", "#", '"', ",", "\r\n", "Fp1"])), min_size=p, max_size=p)))
+def test_fuzzed_channel_names_round_trip(names):
+    rec = MultiChannelRecord(np.zeros((len(names), 2)), 250.0, channel_names=names)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.csv"
+        bio.write_multichannel(rec, path)
+        back = bio.read_multichannel(path)
+    assert back.channel_names == rec.channel_names
+    assert back.channels.tobytes() == rec.channels.tobytes()

@@ -17,7 +17,7 @@ from bandstack.model import (
     ValidationError,
 )
 from bandstack.transform import encode
-from helpers import direct_dft
+from helpers import band_energies_literal, direct_dft, stft_magnitude_literal
 
 
 def test_frame_count_formula():
@@ -165,3 +165,59 @@ def test_sigma_beta_overlap_reported_independently():
     # 14 Hz lies in both sigma (12-16) and beta (12-30)
     assert energies["sigma"] > 0
     assert energies["beta"] >= energies["sigma"] * 0.999
+
+
+@pytest.mark.parametrize("length, window, overlap, paper_shape, log", [
+    (512, 64, 48, False, False),
+    (300, 32, 0, False, False),  # hop = window
+    (257, 257, 100, False, False),  # window = len(x): one frame
+    (1001, 128, 77, False, False),  # odd length and hop
+    (2000, 256, 192, True, False),
+    (777, 64, 31, False, True),
+    (160000, 1024, 768, True, False),  # the reference configuration
+])
+def test_stft_equals_frame_gather_oracle(length, window, overlap, paper_shape, log):
+    x = np.random.default_rng(length).standard_normal(length)
+    got = stft_magnitude(x, window, overlap, paper_shape=paper_shape, log=log)
+    assert np.array_equal(got, stft_magnitude_literal(x, window, overlap, paper_shape, log))
+
+
+def test_stft_of_strided_input_equals_oracle():
+    rng = np.random.default_rng(9)
+    x = (rng.standard_normal(999) + 1j * rng.standard_normal(999)).real
+    assert not x.flags.c_contiguous
+    assert np.array_equal(stft_magnitude(x, 100, 37), stft_magnitude_literal(x, 100, 37))
+
+
+@pytest.mark.parametrize("p, n, rate", [
+    (3, 2, 250.0), (2, 3, 250.0), (4, 512, 256.0), (3, 101, 250.0),
+    (1, 64, 60.0),  # gamma starts at Nyquist: absent
+    (2, 200, 150.0),  # gamma clipped at Nyquist
+    (30, 10000, 1000.0),
+])
+def test_band_energies_match_per_channel_oracle(p, n, rate):
+    data = np.random.default_rng(p * n).standard_normal((p, n))
+    data[-1] = 0.0
+    rec = MultiChannelRecord(data, rate)
+    got = band_energies(rec)
+    want = band_energies_literal(rec)
+    assert len(got) == p
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        peak = max(w.values())
+        assert all(abs(g[k] - w[k]) <= 1e-12 * peak for k in w)
+    assert all(v == 0.0 for v in got[-1].values())
+
+
+def test_band_energies_all_bands_absent():
+    rec = MultiChannelRecord(np.random.default_rng(10).standard_normal((3, 50)), 1.0)
+    assert band_energies(rec) == [{}, {}, {}]
+    assert band_energies_literal(rec) == [{}, {}, {}]
+
+
+def test_band_energies_recheck_a_mutated_record():
+    rec = MultiChannelRecord(np.random.default_rng(11).standard_normal((2, 64)), 250.0)
+    rec.channels.setflags(write=True)
+    rec.channels[1, 5] = np.nan
+    with pytest.raises(ValidationError, match="non-finite sample at channel 1, index 5"):
+        band_energies(rec)

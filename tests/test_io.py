@@ -39,6 +39,45 @@ def test_csv_roundtrip_with_names_and_rate_comment(tmp_path):
     assert back.channel_names == ("Fp1", "Cz")
 
 
+@pytest.mark.parametrize("names", [
+    ("1", "2"),  # all numbers: a bare row would read as data
+    ("a,b", "c"),
+    (" x", '"q"'),
+    ("#a", "b\nc"),
+    ("",),
+])
+def test_csv_channel_names_round_trip(tmp_path, names):
+    path = tmp_path / "rec.csv"
+    rec = MultiChannelRecord(np.arange(3.0 * len(names)).reshape(len(names), 3), 10.0,
+                             channel_names=names)
+    bio.write_multichannel(rec, path)
+    back = bio.read_multichannel(path)
+    assert back.channel_names == names
+    assert np.array_equal(back.channels, rec.channels)
+
+
+def test_csv_plain_channel_names_keep_a_bare_header_row(tmp_path):
+    # names the header row already gives back are written as before
+    path = tmp_path / "rec.csv"
+    names = ("Fp1", "a#b", 'c"d', "")
+    bio.write_multichannel(MultiChannelRecord(np.zeros((4, 2)), 10.0, channel_names=names),
+                           path)
+    assert path.read_text().splitlines()[1] == 'Fp1,a#b,c"d,'
+    assert bio.read_multichannel(path).channel_names == names
+
+
+@pytest.mark.parametrize("text, message", [
+    ('# channel_names=["a", 1]\n1,2\n', "bad channel_names comment on line 1"),
+    ("# channel_names=[\n1,2\n", "bad channel_names comment on line 1"),
+    ('# channel_names=["a", "b"]\nx,y\n1,2\n', "both"),
+])
+def test_csv_channel_names_comment_rejects(tmp_path, text, message):
+    path = tmp_path / "rec.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        bio.read_multichannel(path, rate_hz=10.0)
+
+
 def test_csv_rate_flag_and_missing_rate(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("1,2,3\n4,5,6\n7,8,9\n0,0,0\n")
@@ -234,6 +273,32 @@ def test_raw_record_dimension_mismatch(tmp_path):
         bio.read_multichannel(path)
 
 
+def test_raw_record_padded_far_past_its_sidecar_is_refused_unread(tmp_path):
+    rec = MultiChannelRecord(np.zeros((2, 32)), 10.0)
+    path = tmp_path / "rec.f64"
+    bio.write_multichannel(rec, path, format="raw-f64")
+    with open(path, "ab") as fh:
+        fh.write(bytes(40 * 2**20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="expected 2\\*32=64 doubles, found 5242944$"):
+            bio.read_multichannel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_raw_record_with_stray_bytes_rejected(tmp_path):
+    rec = MultiChannelRecord(np.zeros((2, 8)), 10.0)
+    path = tmp_path / "rec.f64"
+    bio.write_multichannel(rec, path, format="raw-f64")
+    with open(path, "ab") as fh:
+        fh.write(b"abc")
+    with pytest.raises(FormatError, match="expected 2\\*8=16 doubles, found 16 and 3 stray"):
+        bio.read_multichannel(path)
+
+
 GOLDEN_SAMPLES = [0.0, 0.5, -0.5, 0.25]
 
 
@@ -282,6 +347,22 @@ def test_wav_data_chunk_size_at_reference_length(tmp_path):
     assert size == 640000
     rate, back = bio.read_wav_f32(path)
     assert rate == 16000 and back.shape == (160000,)
+
+
+def test_wav_read_holds_the_file_once(tmp_path):
+    # the file's bytes (4 per sample) and the float64 result (8 per sample);
+    # a copy of the data chunk would add 4 more
+    n = 1_000_000
+    path = tmp_path / "long.wav"
+    bio.write_wav_f32(path, np.random.default_rng(3).standard_normal(n), 8000.0)
+    tracemalloc.start()
+    try:
+        rate, back = bio.read_wav_f32(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rate == 8000 and back.shape == (n,)
+    assert peak < 13 * n
 
 
 def test_wav_over_4_gib_rejected(tmp_path):
