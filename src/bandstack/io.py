@@ -7,7 +7,8 @@ sidecar writer, whose text ``sidecar.sidecar_text`` builds. Formats:
 
   * CSV records - UTF-8, one column per channel, optional ``# rate_hz=...``
     comment and optional channel names: a header row, or a
-    ``# channel_names=`` JSON list where a header row would be misread.
+    ``# channel_names=`` JSON list where a header row would be misread or
+    UTF-8 cannot encode a name.
   * raw-f64 - little-endian IEEE-754 doubles in C order: channel-major
     records, row-major matrices, and one plane (real) or two planes (real
     then imaginary) of wideband samples; bit-exact round trips.
@@ -15,7 +16,9 @@ sidecar writer, whose text ``sidecar.sidecar_text`` builds. Formats:
     wideband signals only. The f32 narrowing is the only loss on this path.
 
 CSV text is read and written a block of rows at a time, which bounds the
-memory a file's text takes. Reading rules: ``#`` comment lines and blank
+memory a file's text takes. numpy's C text reader parses a block of plain
+numbers in one call; a block it refuses is read cell by cell, with the same
+values and messages. Reading rules: ``#`` comment lines and blank
 lines may appear anywhere; a record's first data line is a header of
 channel names unless every cell is a number; record cells may be quoted
 (``"1.5"``, ``"C,z"``); whitespace around a cell is ignored; text that is
@@ -167,16 +170,47 @@ def _header_of(cells: list[str]) -> Optional[tuple[str, ...]]:
     return None
 
 
+def _parse_block(lines, split) -> Optional[np.ndarray]:
+    """A block of data lines as a (rows, cols) array, or None for the caller
+    to scan cell by cell.
+
+    numpy's C reader strips the whitespace ``str.strip`` does and converts
+    with the parser ``float`` uses. What it refuses (quotes, ``1_0``,
+    non-ASCII digits, empty cells, NUL, ragged rows) goes once through
+    ``split(lines)`` and ``np.array``, as before. Lines past the csv field
+    size limit skip it: it would read an over-long cell as inf, where
+    ``csv`` raises.
+    """
+    if max(map(len, lines)) <= _csv.field_size_limit():
+        try:
+            # quotechar= needs numpy >= 1.23; the declared floor is 1.24
+            block = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None,
+                               quotechar=None, ndmin=2)
+            if block.shape[0] == len(lines):
+                return block
+        except ValueError:
+            pass
+    try:
+        rows = list(split(lines))
+        if len(rows) == len(lines):  # else a quoted cell ran across lines
+            return np.array(rows, dtype=np.float64)
+    except (_csv.Error, ValueError):
+        pass
+    return None
+
+
 def _read_csv_table(path, on_comment, split, bad_cell, header=False):
     """Parse a CSV file's data lines; returns (names, data, widths).
 
-    Each block goes once through ``split(lines)``, which turns lines into
-    rows of cells, and once through ``np.array``, which parses every cell
-    exactly as ``float`` does. Only a block that fails is scanned cell by
+    Each block is parsed whole by ``_parse_block``: numpy's C reader takes
+    a block of plain numbers, and ``split(lines)`` (lines to rows of cells)
+    plus ``np.array`` a block it refuses. Both read a cell exactly as
+    ``float`` does. Only a block that neither reads is scanned cell by
     cell, to raise ``bad_cell`` (a message template) for its first bad cell
-    and to collect its row widths. ``widths`` holds every row width seen;
-    ``data`` is the (rows, cols) array if there is only one. With ``header``,
-    a first data line that is not all numbers gives ``names``.
+    and to collect its row widths, so errors and their order are the
+    cell-by-cell reader's. ``widths`` holds every row width seen; ``data``
+    is the (rows, cols) array if there is only one. With ``header``, a
+    first data line that is not all numbers gives ``names``.
     """
     def cells(line, lineno):
         try:
@@ -193,14 +227,11 @@ def _read_csv_table(path, on_comment, split, bad_cell, header=False):
                     del lines[0], linenos[0]
                     if not lines:
                         continue
-            try:
-                rows = list(split(lines))
-                if len(rows) == len(lines):  # else a quoted cell ran across lines
-                    blocks.append(np.array(rows, dtype=np.float64))
-                    widths.add(blocks[-1].shape[1])
-                    continue
-            except (_csv.Error, ValueError):
-                pass
+            block = _parse_block(lines, split)
+            if block is not None:
+                blocks.append(block)
+                widths.add(block.shape[1])
+                continue
             rows = []
             for lineno, line in zip(linenos, lines):
                 row = []
@@ -285,8 +316,13 @@ def _read_csv_record(path, rate_hz):
 
 def _header_names(row: str) -> Optional[tuple[str, ...]]:
     """The names the reader takes from ``row`` as a record's first data line,
-    or None if it would read it as data, a comment, a blank or several lines."""
+    or None if it would read it as data, a comment, a blank or several lines,
+    or if UTF-8 cannot encode it (a lone surrogate, which JSON escapes)."""
     if "\r" in row or "\n" in row or row.strip()[:1] in ("", "#"):
+        return None
+    try:
+        row.encode("utf-8")
+    except UnicodeEncodeError:
         return None
     try:
         return _header_of([c.strip() for c in next(_csv.reader([row]))])

@@ -38,6 +38,21 @@ def test_encode_decode_wav_roundtrip(tmp_path, record_csv, capsys):
     assert back.channel_names == rec.channel_names
 
 
+def test_lone_surrogate_names_survive_decode_to_csv(tmp_path):
+    # UTF-8 cannot encode the name, so the CSV carries it in the JSON comment
+    names = ("\ud800", "b")
+    rec = MultiChannelRecord(np.arange(16.0).reshape(2, 8), 32.0, channel_names=names)
+    raw = tmp_path / "in.f64"
+    bio.write_multichannel(rec, raw)
+    wav = tmp_path / "w.wav"
+    assert main(["encode", str(raw), str(wav), "--target-rate", "128"]) == 0
+    out = tmp_path / "out.csv"
+    assert main(["decode", str(wav), str(out)]) == 0
+    back = bio.read_multichannel(out)
+    assert back.channel_names == names
+    assert np.abs(back.channels - rec.channels).max() < 1e-5  # f32 path
+
+
 def test_encode_raw_is_exact(tmp_path, record_csv):
     csv_path, rec = record_csv
     raw = tmp_path / "out.f64"

@@ -52,6 +52,9 @@ def csv_files(draw):
 # a bad cell, then a file that ends inside a UTF-8 character: the cell's error
 # comes first, as it does in file order
 @example(blob=b"# rate_hz=250\n1,2\n3,oops\n5,6\n\xc3", rate=None, block=bio._BLOCK_ROWS)
+# a cell past the csv module's field size limit, which numpy's C reader
+# would read as inf: it stays a format error
+@example(blob=b"1,2\n3," + b"4" * 200_000 + b"\n", rate=250.0, block=bio._BLOCK_ROWS)
 def test_fuzzed_csv_reads_like_the_literal_reader(blob, rate, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rec.csv"

@@ -1,9 +1,11 @@
 """File format contracts: CSV, raw-f64, WAV, sidecars, matrices."""
 
+import csv
 import dataclasses
 import json
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -241,6 +243,84 @@ def test_csv_unreadable_cell_is_a_format_error(tmp_path):
     path.write_text("1,2\n3," + "4" * 200_000 + "\n")
     with pytest.raises(FormatError, match="unreadable CSV at line 2"):
         bio.read_multichannel(path, rate_hz=10.0)
+
+
+def test_csv_lone_surrogate_names_round_trip(tmp_path):
+    # UTF-8 cannot encode a lone surrogate, so the name goes to the JSON
+    # comment, which escapes it as ASCII
+    path = tmp_path / "rec.csv"
+    names = ("\ud800", "b")
+    rec = MultiChannelRecord(np.arange(6.0).reshape(2, 3), 10.0, channel_names=names)
+    bio.write_multichannel(rec, path)
+    assert path.read_text(encoding="utf-8").splitlines()[1] == \
+        '# channel_names=["\\ud800", "b"]'
+    back = bio.read_multichannel(path)
+    assert back.channel_names == names
+    assert np.array_equal(back.channels, rec.channels)
+
+
+# Files with rows that numpy's C reader refuses (and so are read as before)
+# or reads only as ``float`` does; a plain first row keeps them from being
+# read as a header.
+FAST_PATH_EDGES = {
+    "underscore": "0,0\n1_0,2\n",
+    "arabic_digit": "0,0\n\u0661,2\n",
+    "quoted": '0,0\n"1.5",2\n',
+    "trailing_comma": "0,0\n1,2,\n",
+    "empty_cell": "0,0,0\n1,,2\n",
+    "hash_in_row": "0,0\n1,#2\n",
+    "hash_after_cell": "0,0\n3,4#5\n",
+    "nul": "0,0\n1,\x002\n",
+    "ragged": "0,0\n1\n5,6\n",
+    "cr": "0,0\r1,2\r3,4\r",
+    "crlf": "0,0\r\n1,2\r\n3,4\r\n",
+    "padding": "0,0\n 1 ,\xa02\xa0\n\t3,\u20284 \n",
+    "negative_zero": "0,0\n-0.0,0.0\n0.0,-0.0\n",
+    "single_column": "1\n-0.0\n2.5\n",
+}
+
+
+@pytest.mark.parametrize("block", [1, BLOCK])
+@pytest.mark.parametrize("case", sorted(FAST_PATH_EDGES))
+def test_csv_fast_path_edges_read_like_the_literal_reader(tmp_path, case, block, monkeypatch):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(FAST_PATH_EDGES[case].encode("utf-8"))
+    want = read_outcome(lambda: read_csv_record_literal(path, 10.0))
+    monkeypatch.setattr(bio, "_BLOCK_ROWS", block)
+    assert read_outcome(lambda: bio.read_multichannel(path, rate_hz=10.0)) == want
+
+
+def _matrix_outcome(path):
+    try:
+        m, meta = bio.read_matrix(path)
+    except Exception as exc:  # the outcome under comparison, errors included
+        return type(exc), str(exc)
+    return m.tobytes(), m.shape, meta
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_EDGES))
+def test_matrix_fast_path_edges_read_like_the_cell_reader(tmp_path, case):
+    # the reader with numpy's C reader refusing every block is the one
+    # that read matrices before it
+    path = tmp_path / "edge.csv"
+    path.write_bytes(("# feature=x\n" + FAST_PATH_EDGES[case]).encode("utf-8"))
+    with mock.patch.object(bio.np, "loadtxt", side_effect=ValueError):
+        want = _matrix_outcome(path)
+    assert _matrix_outcome(path) == want
+
+
+def test_csv_numeric_blocks_skip_the_cell_splitter(tmp_path):
+    # only the header check splits a line; every block of plain numbers,
+    # whitespace and all, goes through numpy's C reader
+    rng = np.random.default_rng(7)
+    rec = MultiChannelRecord(rng.standard_normal((3, 2 * BLOCK + 9)), 10.0)
+    path = tmp_path / "plain.csv"
+    bio.write_multichannel(rec, path)
+    path.write_text(path.read_text().replace(",", " ,\t"))
+    with mock.patch.object(bio._csv, "reader", wraps=csv.reader) as reader:
+        back = bio.read_multichannel(path)
+    assert reader.call_count == 1
+    assert back.channels.tobytes() == rec.channels.tobytes()
 
 
 def test_raw_record_roundtrip_bitwise(tmp_path):
