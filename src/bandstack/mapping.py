@@ -211,6 +211,14 @@ def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:
     if bins.shape[1] != plan.n_samples:
         raise ValidationError(
             f"spectra have {bins.shape[1]} bins, plan expects {plan.n_samples}")
+    _refuse_destructive(plan)
+    out = np.zeros(plan.n_out, dtype=np.complex128)
+    _stack_into(out, bins[list(plan.stacking_order)], plan)
+    return StackedSpectrum(out, plan.target_rate_hz)
+
+
+def _refuse_destructive(plan: BandPlan) -> None:
+    """Strict-lossless mode refuses a plan whose collisions destroy content."""
     if plan.mode == MODE_STRICT_LOSSLESS and not plan.lossless:
         b, j = plan.first_destructive
         raise CollisionError(
@@ -218,6 +226,12 @@ def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:
             f"source bin {j} is overwritten at destination bin {plan.assignments[b][j]} "
             f"(collision_count={plan.collision_count})")
 
-    out = np.zeros(plan.n_out, dtype=np.complex128)
-    out[plan.assignments.ravel()] = bins[list(plan.stacking_order)].ravel()
-    return StackedSpectrum(out, plan.target_rate_hz)
+
+def _stack_into(out: np.ndarray, spectra: np.ndarray, plan: BandPlan) -> None:
+    """Scatter band-ordered (p, n) ``spectra`` into the wideband bins ``out``.
+
+    Writes run band-major, source bins ascending, and the last writer of a
+    bin wins. Every assignment is at most n_out//2 (the top band ends at
+    F_s/2), so ``out`` may hold only the lower n_out//2 + 1 bins.
+    """
+    out[plan.assignments.ravel()] = spectra.ravel()

@@ -7,7 +7,9 @@ are 1 and no wrapper scaling is needed. Arbitrary lengths are supported
 exactly; nothing here ever zero-pads.
 
 encode and decode transform all channels in one batched numpy call per
-direction and invert the real modes with ``irfft``. ``forward_fft`` and
+direction: encode takes one ``rfft`` of the real channels and mirrors it,
+decode one ``rfft`` (real modes) or ``fft`` (paper-complex) of the waveform,
+and both invert the real modes with ``irfft``. ``forward_fft`` and
 ``hermitian_extend`` are the one-channel reference path: the tests and the
 benchmark's replay check (perfbench/workloads.py) compare encode and decode
 against it.

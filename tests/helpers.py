@@ -3,10 +3,11 @@
 Nothing here may call into the code paths it checks: the DFT oracle is the
 direct quadratic sum (no FFT), the nearest-bin oracle is a literal
 scan-every-candidate loop, the stacking and collision oracles are the
-plain overwrite loop, and the CSV reader and writer are the cell-by-cell
-loops that the block versions replaced, and the feature oracles are the
-per-channel band loop and the fancy-index STFT gather that the batched
-features replaced. Expected values in the test modules were computed with
+plain overwrite loop, the real-mode fold is a per-bin loop, the decode
+oracle is the masked-doubling gather that decode replaced, the CSV reader
+and writer are the cell-by-cell loops that the block versions replaced, and
+the feature oracles are the per-channel band loop and the fancy-index STFT
+gather that the batched features replaced. Expected values in the test modules were computed with
 these.
 """
 
@@ -67,6 +68,40 @@ def stack_literal(all_bins, assignments, n_out) -> np.ndarray:
         for j in range(len(idx)):
             stacked[idx[j]] = bins[j]
     return stacked
+
+
+def hermitian_fold_literal(stacked) -> np.ndarray:
+    """Real-mode fold of a stacked spectrum whose bins above n_out/2 are
+    empty: interior bins k halved and mirrored to n_out - k as conjugates,
+    DC and (even n_out) Nyquist kept at their real parts."""
+    m = len(stacked)
+    out = np.zeros(m, dtype=np.complex128)
+    out[0] = stacked[0].real
+    for k in range(1, (m + 1) // 2):
+        out[k] = stacked[k] / 2
+        out[m - k] = np.conj(stacked[k] / 2)
+    if m % 2 == 0:
+        out[m // 2] = stacked[m // 2].real
+    return out
+
+
+def decode_masked_literal(signal, plan) -> np.ndarray:
+    """Decode's channels as computed before the doubling moved onto the
+    wideband spectrum: gather, then double every gathered bin that is
+    neither wideband DC nor (even n_out) Nyquist through a boolean mask."""
+    prov = signal.provenance
+    complex_mode = prov.mode == "paper-complex"
+    raw_samples = signal.samples * prov.scale
+    raw = np.fft.fft(raw_samples) if complex_mode else np.fft.rfft(raw_samples)
+    n, n_out = prov.n_samples, plan.n_out
+    idx = plan.assignments[:, :n // 2 + 1]
+    lower = raw[idx]
+    if not complex_mode:
+        edge = (idx == 0) | ((n_out % 2 == 0) & (idx == n_out // 2))
+        lower[~edge] *= 2.0
+    channels = np.empty((prov.p, n), dtype=np.float64)
+    channels[list(plan.stacking_order)] = np.fft.irfft(lower, n, axis=1)
+    return channels
 
 
 def collisions_literal(assignments, n_out):

@@ -2,8 +2,8 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines alongside pytest's own verdicts. Criterion 8 times the
-brute-force mapping baseline at full reference scale and takes tens of
-seconds by design.
+brute-force mapping baseline on five bands of the reference configuration
+and takes about ten seconds by design.
 """
 
 import time
@@ -194,11 +194,17 @@ def test_c7_feature_export_and_band_concentration(tmp_path):
     _report(7, f"matrix export bit-exact={all(exact)}; band concentration {summary}", ok)
 
 
+# Both paths cost the same per band, so the scan/fast ratio on a fixed set
+# of bands (the edges, the middle and two between) is the ratio of the full
+# 30-band plan at a sixth of the scan time.
+C8_BANDS = (0, 7, 15, 22, 29)
+
+
 def test_c8_fast_path_speedup():
-    report = run_mapping_benchmark()
+    report = run_mapping_benchmark(bands=C8_BANDS)
     speedup = report.speedup[active_lane()]
     scan_s = report.seconds[(active_lane(), "scan")]
     fast_s = report.seconds[(active_lane(), "fast")]
-    _report(8, f"full 30-band plan on the {active_lane()} lane: scan {scan_s:.1f}s, "
-               f"fast {fast_s * 1000:.1f}ms, speedup {speedup:,.0f}x",
+    _report(8, f"{len(C8_BANDS)} of the reference plan's 30 bands on the {active_lane()} "
+               f"lane: scan {scan_s:.1f}s, fast {fast_s * 1000:.1f}ms, speedup {speedup:,.0f}x",
             speedup >= 100.0 and report.assignments_equal)

@@ -108,6 +108,20 @@ def test_fast_equals_oracle_sweep():
                 assert got == collisions_literal(plan.assignments, n_out), (p, n, n_out)
 
 
+def test_every_assignment_is_in_the_half_spectrum_irfft_reads():
+    # The real modes stack into only bins 0..n_out//2, so the top band's end
+    # at F_s/2 must never round past that bin.
+    for n in range(2, 33):
+        for n_out in range(2, 65):
+            for p in range(1, 5):
+                plan = _plan(p, n, float(n), float(n_out))
+                assert plan.assignments.max() <= n_out // 2, (p, n, n_out)
+    for p, n, f_s, F_s in [(30, 10000, 1000.0, 16000.0), (64, 7680, 256.0, 32768.0),
+                           (8, 15000, 250.0, 4000.0), (8, 12001, 250.0, 4000.0)]:
+        plan = _plan(p, n, f_s, F_s)
+        assert plan.assignments.max() <= plan.n_out // 2, (p, n, f_s, F_s)
+
+
 def test_assignment_monotone_and_band_contained():
     for p, n, f_s, F_s in [(1, 16, 32.0, 64.0), (4, 25, 10.0, 120.0),
                            (3, 40, 250.0, 1000.0), (2, 5, 10.0, 100.0)]:

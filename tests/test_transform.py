@@ -22,7 +22,15 @@ from bandstack.model import (
 )
 from bandstack.spectrum import forward_fft
 from bandstack.transform import decode, encode, roundtrip_report
-from helpers import random_record, rel_max_err
+from helpers import (
+    decode_masked_literal,
+    direct_dft,
+    direct_idft,
+    hermitian_fold_literal,
+    random_record,
+    rel_max_err,
+    stack_literal,
+)
 
 
 def _cfg(p, F_s, mode=MODE_REAL_HERMITIAN, order=None):
@@ -209,6 +217,92 @@ def test_decode_rejects_mode_mismatch():
     )
     with pytest.raises(DecodeError, match="mode"):
         decode(forged)
+
+
+def test_decode_rejects_real_samples_under_paper_complex():
+    rng = np.random.default_rng(1)
+    rec = random_record(rng, 1, 16, 8.0)
+    sig = encode(rec, _cfg(1, 32.0, mode=MODE_PAPER_COMPLEX))
+    forged = WidebandSignal(sig.samples.real, sig.rate_hz, sig.provenance)
+    with pytest.raises(DecodeError,
+                       match="real samples with mode 'paper-complex': mode mismatch"):
+        decode(forged)
+
+
+# (p, n, n_out) with f_s = n, so n_out is also F_s: n odd and even, n_out odd
+# and even, the lossless 2p(n-1) and up, the lossy p*n and up. At n = 2 the
+# top band's informative bin 1 lands on wideband Nyquist, n_out//2.
+_LITERAL_SHAPES = sorted({(p, n, n_out)
+                          for p in (1, 2, 5)
+                          for n in (2, 16, 17)
+                          for n_out in (2 * p * (n - 1), 2 * p * (n - 1) + 1,
+                                        p * n, p * n + 1)})
+_MODES = (MODE_PAPER_COMPLEX, MODE_REAL_HERMITIAN, MODE_STRICT_LOSSLESS)
+
+
+def _literal_case(p, n, n_out, mode):
+    rng = np.random.default_rng(p * 1000 + n_out)
+    rec = random_record(rng, p, n, float(n))
+    order = tuple(int(c) for c in rng.permutation(p))
+    cfg = _cfg(p, float(n_out), mode=mode, order=order)
+    return rec, cfg, build_band_plan(p, n, float(n), cfg)
+
+
+def test_literal_shapes_cover_lossy_and_lossless_plans():
+    plans = [_literal_case(p, n, n_out, MODE_REAL_HERMITIAN)[2]
+             for p, n, n_out in _LITERAL_SHAPES]
+    assert {plan.lossless for plan in plans} == {True, False}
+    assert {plan.n_out % 2 for plan in plans} == {0, 1}
+    assert any(plan.stacking_order != tuple(range(plan.p)) for plan in plans)
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("p,n,n_out", _LITERAL_SHAPES)
+def test_encode_matches_the_literal_pipeline(p, n, n_out, mode):
+    rec, cfg, plan = _literal_case(p, n, n_out, mode)
+    if mode == MODE_STRICT_LOSSLESS and not plan.lossless:
+        with pytest.raises(CollisionError) as refused:
+            encode(rec, cfg)
+        spectra = [forward_fft(ch, float(n)) for ch in rec.channels]
+        with pytest.raises(CollisionError) as stacked_refused:
+            apply_stacking(spectra, plan)
+        assert str(refused.value) == str(stacked_refused.value)
+        assert str(refused.value).startswith("strict-lossless stacking impossible: channel ")
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
+        sig = encode(rec, cfg)
+    spectra = [direct_dft(ch) for ch in rec.channels]
+    stacked = stack_literal([spectra[c] for c in plan.stacking_order],
+                            plan.assignments, plan.n_out)
+    if mode == MODE_PAPER_COMPLEX:
+        want = direct_idft(stacked)
+    else:
+        assert not stacked[n_out // 2 + 1:].any()
+        want = direct_idft(hermitian_fold_literal(stacked)).real
+    assert sig.samples.dtype == want.dtype
+    assert rel_max_err(sig.denormalized(), want) < 1e-12
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("p,n,n_out", _LITERAL_SHAPES)
+def test_decode_matches_the_masked_gather_bitwise(p, n, n_out, mode):
+    rec, cfg, plan = _literal_case(p, n, n_out, mode)
+    if mode == MODE_STRICT_LOSSLESS and not plan.lossless:
+        # strict-lossless decode refuses a lossy plan before any gather
+        mode = MODE_REAL_HERMITIAN
+        rec, cfg, plan = _literal_case(p, n, n_out, mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
+        sig = encode(rec, cfg)
+    rng = np.random.default_rng(n_out)
+    noise = rng.standard_normal(n_out)
+    if mode == MODE_PAPER_COMPLEX:
+        noise = noise + 1j * rng.standard_normal(n_out)
+    for signal in (sig, WidebandSignal(noise, sig.rate_hz, sig.provenance)):
+        got = decode(signal).channels
+        want = decode_masked_literal(signal, plan)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_decode_rejects_wrong_collision_count():
