@@ -18,6 +18,7 @@ import warnings
 from bandstack import io as bio
 from bandstack.bench import run_mapping_benchmark
 from bandstack.features import spectrogram, spectrogram_meta
+from bandstack.mapping import build_band_plan
 from bandstack.model import (
     MODE_REAL_HERMITIAN,
     MODES,
@@ -50,14 +51,13 @@ def _parse_order(spec: str, p: int):
     return order
 
 
-def _print_summary(prov, lossless: bool) -> None:
-    rate_feasible = prov.target_rate_hz >= prov.p * prov.source_rate_hz
-    print(f"plan: p={prov.p} n={prov.n_samples} f_s={prov.source_rate_hz:g} Hz "
-          f"F_s={prov.target_rate_hz:g} Hz mode={prov.mode}")
-    print(f"  f_band={prov.target_rate_hz / (2 * prov.p):.6g} Hz  n_out={prov.n_out}  "
-          f"collision_count={prov.collision_count}")
-    print(f"  lossless feasible (F_s >= p*f_s): {'yes' if rate_feasible else 'no'}  "
-          f"exact inversion: {'yes' if lossless else 'no'}")
+def _print_summary(plan) -> None:
+    print(f"plan: p={plan.p} n={plan.n_samples} f_s={plan.source_rate_hz:g} Hz "
+          f"F_s={plan.target_rate_hz:g} Hz mode={plan.mode}")
+    print(f"  f_band={plan.band_width_hz:.6g} Hz  n_out={plan.n_out}  "
+          f"collision_count={plan.collision_count}")
+    print(f"  lossless feasible (F_s >= p*f_s): {'yes' if plan.rate_feasible else 'no'}  "
+          f"exact inversion: {'yes' if plan.lossless else 'no'}")
 
 
 def cmd_encode(args) -> int:
@@ -68,13 +68,12 @@ def cmd_encode(args) -> int:
         mode=args.mode,
         stacking_order=_parse_order(args.order, record.p),
     )
-    # encode warns exactly when a non-strict plan is lossy (strict mode
-    # raises instead), so the warning is the summary's "exact inversion"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", CollisionWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
         signal = encode(record, config)
-    _print_summary(signal.provenance,
-                   not any(issubclass(w.category, CollisionWarning) for w in caught))
+    # encode built this plan, so this is a cache hit
+    plan = build_band_plan(record.p, record.n_samples, record.sample_rate_hz, config)
+    _print_summary(plan)
     bio.write_wideband(signal, args.output, format=args.wideband_format)
     print(f"wrote {args.output} (+ {bio.sidecar_path(args.output)})")
     return EXIT_OK

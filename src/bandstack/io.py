@@ -17,10 +17,10 @@ sidecar writer, whose text ``sidecar.sidecar_text`` builds. Formats:
 
 CSV text is read and written a block of rows at a time, which bounds the
 memory a file's text takes. numpy's C text reader parses a block of plain
-numbers in one call; a block it refuses is read cell by cell, with the same
-values and messages. Reading rules: ``#`` comment lines and blank
-lines may appear anywhere; a record's first data line is a header of
-channel names unless every cell is a number; record cells may be quoted
+numbers in one call; a block it refuses (quoted cells, say) is read cell by
+cell, with the same values and messages. Reading rules: ``#`` comment lines
+and blank lines may appear anywhere; a record's first data line is a header
+of channel names unless every cell is a number; record cells may be quoted
 (``"1.5"``, ``"C,z"``); whitespace around a cell is ignored; text that is
 not UTF-8 is a FormatError (CLI exit code 2). Errors come in file order,
 also when a file ends inside a UTF-8 character. Values are written as the
@@ -170,16 +170,15 @@ def _header_of(cells: list[str]) -> Optional[tuple[str, ...]]:
     return None
 
 
-def _parse_block(lines, split) -> Optional[np.ndarray]:
+def _parse_block(lines) -> Optional[np.ndarray]:
     """A block of data lines as a (rows, cols) array, or None for the caller
     to scan cell by cell.
 
     numpy's C reader strips the whitespace ``str.strip`` does and converts
     with the parser ``float`` uses. What it refuses (quotes, ``1_0``,
-    non-ASCII digits, empty cells, NUL, ragged rows) goes once through
-    ``split(lines)`` and ``np.array``, as before. Lines past the csv field
-    size limit skip it: it would read an over-long cell as inf, where
-    ``csv`` raises.
+    non-ASCII digits, empty cells, NUL, ragged rows) returns None. Lines
+    past the csv field size limit skip it: it would read an over-long cell
+    as inf, where ``csv`` raises.
     """
     if max(map(len, lines)) <= _csv.field_size_limit():
         try:
@@ -190,27 +189,19 @@ def _parse_block(lines, split) -> Optional[np.ndarray]:
                 return block
         except ValueError:
             pass
-    try:
-        rows = list(split(lines))
-        if len(rows) == len(lines):  # else a quoted cell ran across lines
-            return np.array(rows, dtype=np.float64)
-    except (_csv.Error, ValueError):
-        pass
     return None
 
 
 def _read_csv_table(path, on_comment, split, bad_cell, header=False):
     """Parse a CSV file's data lines; returns (names, data, widths).
 
-    Each block is parsed whole by ``_parse_block``: numpy's C reader takes
-    a block of plain numbers, and ``split(lines)`` (lines to rows of cells)
-    plus ``np.array`` a block it refuses. Both read a cell exactly as
-    ``float`` does. Only a block that neither reads is scanned cell by
-    cell, to raise ``bad_cell`` (a message template) for its first bad cell
-    and to collect its row widths, so errors and their order are the
-    cell-by-cell reader's. ``widths`` holds every row width seen; ``data``
-    is the (rows, cols) array if there is only one. With ``header``, a
-    first data line that is not all numbers gives ``names``.
+    Each block is parsed whole by ``_parse_block``, numpy's C reader, if it
+    holds only plain numbers. A block it refuses is scanned cell by cell:
+    ``split`` turns a line into its cells, each read with ``float``, which
+    raises ``bad_cell`` (a message template) for the first bad cell and
+    collects the row widths. ``widths`` holds every row width seen;
+    ``data`` is the (rows, cols) array if there is only one. With
+    ``header``, a first data line that is not all numbers gives ``names``.
     """
     def cells(line, lineno):
         try:
@@ -227,7 +218,7 @@ def _read_csv_table(path, on_comment, split, bad_cell, header=False):
                     del lines[0], linenos[0]
                     if not lines:
                         continue
-            block = _parse_block(lines, split)
+            block = _parse_block(lines)
             if block is not None:
                 blocks.append(block)
                 widths.add(block.shape[1])
@@ -353,6 +344,9 @@ def write_multichannel(record: MultiChannelRecord, path,
 # ---------------------------------------------------------------------------
 # WAV (RIFF/WAVE, IEEE float32, mono)
 
+_WAV_MAX_RATE = (2**32 - 1) // 4  # the byte-rate field holds rate * 4 in 32 bits
+
+
 def _wav_header(n_samples: int, rate: int) -> bytes:
     """Every byte of a mono float32 WAV that precedes its n samples.
 
@@ -376,8 +370,9 @@ def write_wav_f32(path, samples: np.ndarray, rate_hz: float) -> None:
     if samples.ndim != 1:
         raise ValidationError("WAV writer takes a mono sample vector")
     rate = int(round(rate_hz))
-    if rate <= 0:
-        raise ValidationError(f"WAV sample rate must round to a positive integer, got {rate_hz}")
+    if not 0 < rate <= _WAV_MAX_RATE:
+        raise ValidationError(f"WAV sample rate must round to an integer in "
+                              f"1..{_WAV_MAX_RATE} Hz, got {rate_hz}")
     # The header (and its size check) comes before any conversion of the data.
     header = _wav_header(samples.shape[0], rate)
     data = samples.astype("<f4")

@@ -15,6 +15,9 @@ Two interchangeable per-band assignment paths exist:
     exact re-check window; bitwise-identical output, orders of magnitude
     faster (see bandstack.bench).
 
+Both paths, the plan and the benchmark check their arguments and derive
+this geometry in ``_band_geometry``.
+
 ``build_band_plan`` runs the fast kernel once over all p * n stretched
 frequencies and stores the result as one (p, n) matrix; row b equals
 ``stack_fast(..., b)``. The layout depends only on the configuration, never
@@ -41,6 +44,7 @@ F_s >= p * f_s (necessary, not sufficient).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -78,29 +82,45 @@ def stretched_frequencies(n_samples: int, source_rate_hz: float,
 
 
 def _band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index):
-    """Stretched source frequencies of one band, the destination grid and its step."""
-    if not 0 <= band_index < p:
-        raise ValidationError(f"band index {band_index} out of range for p={p}")
-    n_out = output_length(n_samples, source_rate_hz, target_rate_hz)
+    """Check a configuration and derive its geometry for one band or a (k, 1)
+    column of bands: n_out, the band width, the stretched source frequencies
+    (one row per band), the destination grid and its step."""
+    if p < 1 or n_samples < 2:
+        raise ValidationError(f"need p >= 1 and n >= 2, got p={p}, n={n_samples}")
+    for name, rate in (("source", source_rate_hz), ("target", target_rate_hz)):
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValidationError(f"{name} rate must be positive and finite, got {rate!r}")
+    try:
+        n_out = output_length(n_samples, source_rate_hz, target_rate_hz)
+    except OverflowError:  # T * F_s is infinite
+        n_out = math.inf
+    if not 2 <= n_out <= np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"output length {n_out:.6g} is outside 2..{np.iinfo(np.intp).max}")
+    bands = np.asarray(band_index)
+    outside = (bands < 0) | (bands >= p)
+    if outside.any():
+        raise ValidationError(f"band index {bands[outside][0]} out of range for p={p}")
     band_width = target_rate_hz / (2 * p)
     targets = stretched_frequencies(n_samples, source_rate_hz, band_width, band_index)
     grid = destination_grid(n_out, target_rate_hz)
-    return targets, grid, target_rate_hz / (n_out - 1)
+    return n_out, band_width, targets, grid, target_rate_hz / (n_out - 1)
 
 
 def stack_oracle(p: int, n_samples: int, source_rate_hz: float,
                  target_rate_hz: float, band_index: int) -> np.ndarray:
     """Assignment for one band by exhaustive nearest-frequency search."""
-    targets, grid, _ = _band_geometry(p, n_samples, source_rate_hz, target_rate_hz,
-                                      band_index)
+    _, _, targets, grid, _ = _band_geometry(p, n_samples, source_rate_hz,
+                                            target_rate_hz, band_index)
     return nearest_indices_scan(targets, grid)
 
 
 def stack_fast(p: int, n_samples: int, source_rate_hz: float,
                target_rate_hz: float, band_index: int) -> np.ndarray:
     """Assignment for one band in O(n); bitwise-equal to stack_oracle."""
-    return nearest_indices_fast(
-        *_band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index))
+    _, _, targets, grid, step = _band_geometry(p, n_samples, source_rate_hz,
+                                               target_rate_hz, band_index)
+    return nearest_indices_fast(targets, grid, step)
 
 
 def _collision_analysis(assignments, n_out):
@@ -143,10 +163,6 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     """
     if p != config.channel_count:
         raise ValidationError(f"config is for {config.channel_count} channels, got p={p}")
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples per channel")
-    if source_rate_hz <= 0:
-        raise ValidationError("source rate must be positive")
     return _build_band_plan(int(p), int(n_samples), float(source_rate_hz), config)
 
 
@@ -159,15 +175,10 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         raise InfeasibleError(
             f"strict-lossless requires F_s >= p*f_s = {p * source_rate_hz:g} Hz, "
             f"got F_s = {target:g} Hz")
-    n_out = output_length(n_samples, source_rate_hz, target)
-    if n_out < 2:
-        raise ValidationError(f"output length {n_out} is too short (need >= 2 samples)")
-
-    band_width = target / (2 * p)
-    targets = stretched_frequencies(n_samples, source_rate_hz, band_width,
-                                    np.arange(p)[:, None])
-    assignments = nearest_indices_fast(targets, destination_grid(n_out, target),
-                                       target / (n_out - 1))
+    n_out, band_width, targets, grid, step = _band_geometry(
+        p, n_samples, source_rate_hz, target, np.arange(p)[:, None])
+    assignments = nearest_indices_fast(targets, grid, step)
+    del grid  # before the collision analysis, whose n_out arrays can reuse its memory
     collision_count, lossless, first_destructive = _collision_analysis(assignments, n_out)
 
     return BandPlan(

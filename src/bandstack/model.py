@@ -326,6 +326,7 @@ class WidebandSignal:
     ``samples`` is float64 in the real modes and complex128 in paper-complex
     mode. The stored samples are peak-normalized by ``provenance.scale`` (an
     exact power of two); multiply by the scale to recover raw amplitudes.
+    ``rate_hz`` must equal ``provenance.target_rate_hz``.
     """
 
     samples: np.ndarray
@@ -347,8 +348,12 @@ class WidebandSignal:
         if self.provenance.n_out != samples.shape[0]:
             raise ValidationError(
                 f"provenance says {self.provenance.n_out} samples, got {samples.shape[0]}")
+        rate_hz = float(self.rate_hz)
+        if rate_hz != self.provenance.target_rate_hz:
+            raise ValidationError(f"provenance says {self.provenance.target_rate_hz!r} Hz, "
+                                  f"got rate_hz={rate_hz!r}")
         object.__setattr__(self, "samples", _as_readonly(samples))
-        object.__setattr__(self, "rate_hz", float(self.rate_hz))
+        object.__setattr__(self, "rate_hz", rate_hz)
 
     @property
     def n_out(self) -> int:

@@ -14,7 +14,6 @@ import numpy as np
 
 from bandstack.features import EEG_BANDS
 from bandstack.model import MultiChannelRecord, ValidationError
-from bandstack.spectrum import dft, inverse_fft
 
 
 def make_tones(p: int, n_samples: int, sample_rate_hz: float,
@@ -58,6 +57,8 @@ def make_bandnoise(p: int, n_samples: int, sample_rate_hz: float,
         raise ValidationError(f"unknown band {band!r}; expected one of {sorted(EEG_BANDS)}")
     if p < 1 or n_samples < 2:
         raise ValidationError("need p >= 1 and n_samples >= 2")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     lo, hi = EEG_BANDS[band]
     nyquist = sample_rate_hz / 2.0
     if lo >= nyquist:
@@ -75,9 +76,5 @@ def make_bandnoise(p: int, n_samples: int, sample_rate_hz: float,
 
     rng = np.random.Generator(np.random.Philox(seed))
     white = rng.standard_normal((p, n))
-    channels = np.empty_like(white)
-    for i in range(p):
-        bins = dft(white[i])
-        bins = np.where(mask, bins, 0.0)
-        channels[i] = inverse_fft(bins).real
+    channels = np.fft.ifft(np.where(mask, np.fft.fft(white, axis=1), 0.0), axis=1).real
     return BandNoise(MultiChannelRecord(channels, sample_rate_hz), truncated)

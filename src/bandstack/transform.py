@@ -44,7 +44,6 @@ from bandstack.mapping import _refuse_destructive, _stack_into, build_band_plan
 from bandstack.model import (
     MODE_PAPER_COMPLEX,
     MODE_STRICT_LOSSLESS,
-    CollisionError,
     CollisionWarning,
     DecodeError,
     MultiChannelRecord,
@@ -146,11 +145,7 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
         raise DecodeError(
             f"provenance says collision_count={prov.collision_count} but its "
             f"configuration gives {plan.collision_count}")
-    if prov.mode == MODE_STRICT_LOSSLESS and not plan.lossless:
-        b, j = plan.first_destructive
-        raise CollisionError(
-            f"provenance claims strict-lossless but channel "
-            f"{plan.stacking_order[b] + 1} bin {j} is overwritten; refusing to decode")
+    _refuse_destructive(plan)
     if signal.is_complex != (prov.mode == MODE_PAPER_COMPLEX):
         kind = "complex" if signal.is_complex else "real"
         raise DecodeError(f"{kind} samples with mode {prov.mode!r}: mode mismatch")

@@ -7,8 +7,9 @@ plain overwrite loop, the real-mode fold is a per-bin loop, the decode
 oracle is the masked-doubling gather that decode replaced, the CSV reader
 and writer are the cell-by-cell loops that the block versions replaced, and
 the feature oracles are the per-channel band loop and the fancy-index STFT
-gather that the batched features replaced. Expected values in the test modules were computed with
-these.
+gather that the batched features replaced, and the band-noise oracle is the
+per-channel loop that the batched generator replaced. Expected values in the
+test modules were computed with these.
 """
 
 from __future__ import annotations
@@ -157,6 +158,24 @@ def band_energies_literal(record):
             energies[name] = float(power[mask].sum())
         out.append(energies)
     return out
+
+
+def bandnoise_literal(p, n, rate, band, seed) -> np.ndarray:
+    """make_bandnoise's channels by the per-channel loop: Philox white
+    noise, one FFT per channel masked to the band (clipped at Nyquist) and
+    its conjugate mirror, one inverse FFT per channel, real part."""
+    from bandstack.features import EEG_BANDS
+
+    lo, hi = EEG_BANDS[band]
+    freqs = np.arange(n) * (rate / (n - 1))
+    keep = (freqs >= lo) & (freqs < min(hi, rate / 2.0))
+    mask = keep.copy()
+    mask[(n - np.nonzero(keep)[0]) % n] = True
+    white = np.random.Generator(np.random.Philox(seed)).standard_normal((p, n))
+    channels = np.empty_like(white)
+    for i in range(p):
+        channels[i] = np.fft.ifft(np.where(mask, np.fft.fft(white[i]), 0.0)).real
+    return channels
 
 
 def read_csv_record_literal(path, rate_hz=None):

@@ -247,7 +247,48 @@ def test_bench_command_small(capsys):
                  "--target-rate", "128", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["assignments_equal"] is True
-    assert any(key.endswith("/scan") for key in report["seconds"])
+    assert set(report["seconds"]) == {"fast", "scan"}
+
+
+def test_bench_without_scan_has_no_speedup(capsys):
+    assert main(["bench", "-p", "2", "-n", "64", "--rate", "32",
+                 "--target-rate", "128", "--no-scan", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["seconds"]) == {"fast"}
+    assert report["speedup"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "-p", "0", "--no-scan"],
+    ["bench", "-p", "2", "-n", "8", "--rate", "0", "--no-scan"],
+    ["encode", "{csv}", "{out}.wav", "--target-rate", "1e300"],
+    # the WAV byte-rate field holds rate * 4 in 32 bits
+    ["encode", "{csv}", "{out}.wav", "--rate", "1e9", "--target-rate", "2e9"],
+    ["synth", "{out}.csv", "--band", "alpha", "--seed", "-1"],
+])
+def test_malformed_flags_end_in_an_exit_code(tmp_path, record_csv, capsys, argv):
+    csv_path, _ = record_csv
+    out = tmp_path / "out"
+    argv = [a.format(csv=csv_path, out=out) for a in argv]
+    assert main(argv) in (1, 2, 3)
+    assert "error: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_decode_refuses_lossy_sidecar_labelled_strict(tmp_path, capsys):
+    # F_s = p*f_s meets the rate floor, but this plan is lossy
+    rec = MultiChannelRecord(np.random.default_rng(2).standard_normal((2, 16)), 8.0)
+    raw = tmp_path / "in.f64"
+    bio.write_multichannel(rec, raw)
+    wav = tmp_path / "w.wav"
+    assert main(["encode", str(raw), str(wav), "--target-rate", "16"]) == 0
+    assert "exact inversion: no" in capsys.readouterr().out
+    sidecar = tmp_path / "w.wav.sidecar"
+    payload = json.loads(sidecar.read_text())
+    payload["mode"] = "strict-lossless"
+    sidecar.write_text(json.dumps(payload))
+    assert main(["decode", str(wav), str(tmp_path / "back.csv")]) == 3
+    assert "strict-lossless" in capsys.readouterr().err
 
 
 def test_missing_input_is_io_error(tmp_path, capsys):

@@ -248,6 +248,28 @@ def test_plan_rejects_channel_count_mismatch():
         build_band_plan(3, 16, 10.0, TransformConfig(100.0, 2))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2, 8, 0.0, 16.0, 0), "source rate"),
+    ((2, 8, float("nan"), 16.0, 0), "source rate"),
+    ((2, 8, 8.0, float("inf"), 0), "target rate"),
+    ((0, 8, 8.0, 16.0, 0), "p >= 1"),
+    ((2, 1, 8.0, 16.0, 0), "n >= 2"),
+    ((2, 8, 8.0, 1e300, 0), r"output length 1e\+300"),
+    ((2, 8, 1e-300, 1e300, 0), "output length inf"),
+    ((2, 8, 8.0, 16.0, 2), "band index 2"),
+    ((2, 8, 8.0, 16.0, -1), "band index -1"),
+])
+@pytest.mark.parametrize("path", [stack_fast, stack_oracle])
+def test_band_paths_check_their_arguments(path, args, message):
+    with pytest.raises(ValidationError, match=message):
+        path(*args)
+
+
+def test_plan_rejects_nan_source_rate():
+    with pytest.raises(ValidationError, match="source rate"):
+        _plan(2, 8, float("nan"), 16.0)
+
+
 def test_stacking_single_entry_transfer():
     plan = _plan(1, 4, 4.0, 8.0)
     bins = np.zeros(4, dtype=complex)

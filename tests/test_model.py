@@ -153,3 +153,11 @@ def test_wideband_signal_checks_provenance_length():
         WidebandSignal(np.zeros(9), 8.0, prov)
     with pytest.raises(ValidationError, match="finite"):
         WidebandSignal(np.full(8, np.inf), 8.0, prov)
+
+
+def test_wideband_signal_rate_must_match_provenance():
+    prov = SidecarHeader(p=1, n_samples=4, source_rate_hz=4.0, target_rate_hz=8.0,
+                         mode="real-hermitian", stacking_order=(0,), scale=1.0,
+                         collision_count=0)
+    with pytest.raises(ValidationError, match="provenance says 8.0 Hz, got rate_hz=4.0"):
+        WidebandSignal(np.zeros(8), 4.0, prov)

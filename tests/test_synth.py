@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from bandstack.features import band_energies
+from bandstack.features import EEG_BANDS, band_energies
 from bandstack.mapping import build_band_plan
 from bandstack.model import MultiChannelRecord, TransformConfig, ValidationError, validate_record
 from bandstack.synth import make_bandnoise, make_tones
 from bandstack.transform import encode
+from helpers import bandnoise_literal
 
 
 def test_alpha_tone_is_alpha_dominant():
@@ -65,6 +66,18 @@ def test_bandnoise_deterministic_under_fixed_seed():
     assert np.array_equal(a.record.channels, b.record.channels)
     c = make_bandnoise(3, 256, 250.0, "theta", seed=124)
     assert not np.array_equal(a.record.channels, c.record.channels)
+
+
+def test_bandnoise_equals_the_per_channel_loop():
+    for p in (1, 3, 8):
+        for n in (2, 3, 16, 255, 1000):
+            for rate in (60.0, 250.0):
+                for band in ("delta", "alpha", "beta", "gamma"):
+                    if EEG_BANDS[band][0] >= rate / 2:
+                        continue
+                    got = make_bandnoise(p, n, rate, band, seed=p + n).record.channels
+                    want = bandnoise_literal(p, n, rate, band, seed=p + n)
+                    assert got.tobytes() == want.tobytes(), (p, n, rate, band)
 
 
 def test_gamma_at_150hz_is_truncated_not_rejected():

@@ -318,6 +318,22 @@ def test_decode_rejects_wrong_collision_count():
         decode(forged)
 
 
+def test_decode_refuses_a_lossy_plan_labelled_strict():
+    # F_s = p*f_s meets the rate floor, but this plan is lossy
+    rec = random_record(np.random.default_rng(1), 2, 16, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
+        sig = encode(rec, _cfg(2, 16.0))
+    assert not build_band_plan(2, 16, 8.0, _cfg(2, 16.0)).lossless
+    forged = WidebandSignal(
+        sig.samples,
+        sig.rate_hz,
+        dataclasses.replace(sig.provenance, mode=MODE_STRICT_LOSSLESS),
+    )
+    with pytest.raises(CollisionError, match="strict-lossless"):
+        decode(forged)
+
+
 @pytest.mark.parametrize("mode", [MODE_REAL_HERMITIAN, MODE_PAPER_COMPLEX])
 def test_decode_rejects_overflowing_scale(mode):
     # a tampered file: a stored sample of 3 with the largest legal scale
