@@ -1,12 +1,10 @@
 """Benchmark harness: brute-force scan vs closed-form mapping.
 
-Times how long the numpy kernels take to produce the band assignment two
-ways (the exhaustive nearest-frequency scan and the O(1)-per-bin fast path)
-over the same precomputed targets, and cross-checks that both runs produced
-identical indices. The default size is the 30-channel / 10000-sample /
-1 kHz-source / 16 kHz-target configuration, where the scan visits
-p * n * n_out ~ 5e10 grid points; expect it to take on the order of a
-minute for all 30 bands.
+Times ``mapping.stack_oracle`` (the float scan of every grid point) against
+``mapping.stack_fast`` (the integer quotient) band by band and checks that
+both give identical indices. The default size is the 30-channel /
+10000-sample / 1 kHz-source / 16 kHz-target configuration, where the scan
+visits p * n * n_out ~ 5e10 grid points: about a minute for all 30 bands.
 
 In ``BenchReport.to_dict`` (``bandstack bench --json``), ``seconds`` is keyed
 by algorithm ("fast", and "scan" unless skipped) and ``speedup`` is scan over
@@ -16,13 +14,13 @@ fast seconds, or None without the scan.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from bandstack._kernels import nearest_indices_fast, nearest_indices_scan
-from bandstack.mapping import _band_geometry
+from bandstack.mapping import _band_geometry, stack_fast, stack_oracle
+from bandstack.model import ValidationError
 
 
 @dataclass
@@ -38,17 +36,7 @@ class BenchReport:
     assignments_equal: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n_samples": self.n_samples,
-            "source_rate_hz": self.source_rate_hz,
-            "target_rate_hz": self.target_rate_hz,
-            "n_out": self.n_out,
-            "bands": list(self.bands),
-            "seconds": dict(self.seconds),
-            "speedup": self.speedup,
-            "assignments_equal": self.assignments_equal,
-        }
+        return {**asdict(self), "bands": list(self.bands)}
 
     def format_table(self) -> str:
         lines = [
@@ -71,28 +59,24 @@ def run_mapping_benchmark(p: int = 30, n_samples: int = 10000,
                           bands=None, include_scan: bool = True) -> BenchReport:
     """Time both mapping algorithms over the same band set.
 
-    ``bands`` restricts which bands are computed (default: all p).
+    ``bands`` restricts which bands are computed (default: all p); an empty
+    band set is refused.
     """
     bands = tuple(range(p)) if bands is None else tuple(int(b) for b in bands)
-    n_out, _, targets, grid, step = _band_geometry(
-        p, n_samples, source_rate_hz, target_rate_hz,
-        np.array(bands, dtype=np.int64)[:, None])
+    if not bands:
+        raise ValidationError("the benchmark needs at least one band")
+    n_out, _ = _band_geometry(p, n_samples, source_rate_hz, target_rate_hz,
+                              np.array(bands)[:, None])
 
     report = BenchReport(p=p, n_samples=n_samples, source_rate_hz=source_rate_hz,
                          target_rate_hz=target_rate_hz, n_out=n_out, bands=bands)
-    algos = [("fast", lambda t: nearest_indices_fast(t, grid, step))]
-    if include_scan:
-        algos.append(("scan", lambda t: nearest_indices_scan(t, grid)))
-    reference = None
-    for algo, fn in algos:
+    got = {}
+    for algo, fn in (("fast", stack_fast), ("scan", stack_oracle))[:1 + include_scan]:
         start = time.perf_counter()
-        got = [fn(t) for t in targets]
+        got[algo] = [fn(p, n_samples, source_rate_hz, target_rate_hz, b) for b in bands]
         report.seconds[algo] = time.perf_counter() - start
-        if reference is None:
-            reference = got
-        elif not all(np.array_equal(a, b) for a, b in zip(reference, got)):
-            report.assignments_equal = False
     if include_scan:
+        report.assignments_equal = all(map(np.array_equal, got["fast"], got["scan"]))
         fast, scan = report.seconds["fast"], report.seconds["scan"]
         report.speedup = scan / fast if fast > 0 else float("inf")
     return report

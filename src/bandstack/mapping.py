@@ -5,33 +5,27 @@ f_band = F_s / (2p), so the occupied spectrum ends at F_s/2 and the upper
 half stays free for Hermitian mirroring. Each channel's n source bins live on
 the inclusive grid k * f_s/(n-1), 0..f_s; band b shifts that grid by
 b * f_band and compresses it by f_band/f_s, then every stretched frequency is
-assigned to the nearest destination bin of linspace(0, F_s, n_out).
+assigned to the nearest destination bin of linspace(0, F_s, n_out). Exactly,
+that bin is the integer quotient round_half_up(m (n_out-1) / (2p(n-1))) with
+m = b(n-1) + k; ties go to the larger bin unless float rounding decides.
 
-Two interchangeable per-band assignment paths exist:
+Two per-band assignment paths, both checked by ``_band_geometry``:
 
-  * ``stack_oracle`` - scans all n_out destination bins per source bin, the
-    obvious O(n * n_out) search. Kept as the behavioral reference.
-  * ``stack_fast`` - closed-form O(1)-per-bin index computation with a small
-    exact re-check window; bitwise-identical output, orders of magnitude
-    faster (see bandstack.bench).
+  * ``stack_oracle`` - scans all n_out float grid points per float
+    stretched frequency, O(n * n_out). Kept as the behavioral reference.
+  * ``stack_fast`` - the int64 quotient, O(1) per bin, with the scan's float
+    comparison kept at the few bins where rounding decides; bitwise-equal,
+    orders of magnitude faster (see bandstack.bench).
 
-Both paths, the plan and the benchmark check their arguments and derive
-this geometry in ``_band_geometry``.
-
-``build_band_plan`` runs the fast kernel once over all p * n stretched
-frequencies and stores the result as one (p, n) matrix; row b equals
-``stack_fast(..., b)``. The layout depends only on the configuration, never
-on the samples, so plans are memoised: the plan of the most recent
-configuration is kept, and every caller with an equal configuration gets
-the same shared ``BandPlan``. Sharing is safe because a plan is a frozen
-dataclass whose arrays are read-only views of read-only arrays, which numpy
-refuses to make writable again. One entry suffices because encode followed
-by decode of one record needs a single live configuration, while a kept
-plan that never repeats (a stream whose length changes every record) is
-only held memory.
-
-Nearest-bin ties (a stretched frequency exactly midway between two grid
-points) resolve to the larger index in both paths.
+``build_band_plan`` runs ``stack_fast`` once over a column of all p bands
+and stores one (p, n) matrix. Decode rebuilds the plan from the sidecar, so
+the assignments are part of the file format. The layout depends only on the
+configuration, never on the samples, so the plan of the most recent
+configuration is kept and shared by every caller with an equal one. That
+is safe because a plan is a frozen dataclass whose arrays are read-only
+views of read-only arrays, which numpy refuses to make writable again. One
+entry suffices because encode followed by decode of one record needs a
+single live configuration; a plan that never repeats is only held memory.
 
 Collisions: adjacent bands share their boundary frequency because the source
 grid spans 0..f_s inclusive, so for p >= 2 some destination bins are always
@@ -49,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bandstack._kernels import nearest_indices_fast, nearest_indices_scan
+from bandstack._kernels import nearest_indices_scan
 from bandstack.model import (
     MODE_STRICT_LOSSLESS,
     BandPlan,
@@ -61,6 +55,9 @@ from bandstack.model import (
     destination_grid,
     output_length,
 )
+
+_MAX_N_OUT = 2**48  # keeps the float rounding of stack_fast below half a bin
+_TINY = np.finfo(np.float64).tiny
 
 
 def source_frequencies(n_samples: int, source_rate_hz: float) -> np.ndarray:
@@ -82,9 +79,9 @@ def stretched_frequencies(n_samples: int, source_rate_hz: float,
 
 
 def _band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index):
-    """Check a configuration and derive its geometry for one band or a (k, 1)
-    column of bands: n_out, the band width, the stretched source frequencies
-    (one row per band), the destination grid and its step."""
+    """Check a configuration for one band or a (k, 1) column of bands and
+    return n_out and the band width. Refuses what would overflow the int64
+    arithmetic of ``stack_fast`` or void its float error bound."""
     if p < 1 or n_samples < 2:
         raise ValidationError(f"need p >= 1 and n >= 2, got p={p}, n={n_samples}")
     for name, rate in (("source", source_rate_hz), ("target", target_rate_hz)):
@@ -94,33 +91,71 @@ def _band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index):
         n_out = output_length(n_samples, source_rate_hz, target_rate_hz)
     except OverflowError:  # T * F_s is infinite
         n_out = math.inf
-    if not 2 <= n_out <= np.iinfo(np.intp).max:
-        raise ValidationError(
-            f"output length {n_out:.6g} is outside 2..{np.iinfo(np.intp).max}")
+    if not 2 <= n_out <= _MAX_N_OUT:
+        raise ValidationError(f"output length {n_out:.6g} is outside 2..{_MAX_N_OUT}")
+    den = 2 * p * (n_samples - 1)
+    if den * n_out > np.iinfo(np.int64).max:
+        raise ValidationError(f"index arithmetic overflows int64: 2p(n-1)*n_out = {den * n_out}")
+    if min(source_rate_hz / (n_samples - 1), target_rate_hz / max(den, n_out)) < _TINY:
+        raise ValidationError(f"rates {source_rate_hz!r} and {target_rate_hz!r} Hz "
+                              f"give grid steps below the normal float range")
     bands = np.asarray(band_index)
     outside = (bands < 0) | (bands >= p)
     if outside.any():
         raise ValidationError(f"band index {bands[outside][0]} out of range for p={p}")
-    band_width = target_rate_hz / (2 * p)
-    targets = stretched_frequencies(n_samples, source_rate_hz, band_width, band_index)
-    grid = destination_grid(n_out, target_rate_hz)
-    return n_out, band_width, targets, grid, target_rate_hz / (n_out - 1)
+    return n_out, target_rate_hz / (2 * p)
 
 
 def stack_oracle(p: int, n_samples: int, source_rate_hz: float,
                  target_rate_hz: float, band_index: int) -> np.ndarray:
     """Assignment for one band by exhaustive nearest-frequency search."""
-    _, _, targets, grid, _ = _band_geometry(p, n_samples, source_rate_hz,
-                                            target_rate_hz, band_index)
-    return nearest_indices_scan(targets, grid)
+    n_out, band_width = _band_geometry(p, n_samples, source_rate_hz,
+                                       target_rate_hz, band_index)
+    targets = stretched_frequencies(n_samples, source_rate_hz, band_width, band_index)
+    return nearest_indices_scan(targets, destination_grid(n_out, target_rate_hz))
 
 
 def stack_fast(p: int, n_samples: int, source_rate_hz: float,
-               target_rate_hz: float, band_index: int) -> np.ndarray:
-    """Assignment for one band in O(n); bitwise-equal to stack_oracle."""
-    _, _, targets, grid, step = _band_geometry(p, n_samples, source_rate_hz,
-                                               target_rate_hz, band_index)
-    return nearest_indices_fast(targets, grid, step)
+               target_rate_hz: float, band_index) -> np.ndarray:
+    """Assignment for one band, or one row per band for a (k, 1) column;
+    bitwise-equal to stack_oracle.
+
+    With den = 2p(n-1) and m = b(n-1) + k, bin k of band b lies x =
+    m (n_out-1)/den grid steps up; q, r = divmod(2m(n_out-1) + den, 2 den),
+    all below den * n_out, give q = round_half_up(x) and 2x - (2q-1) = r/den.
+
+    Error bound: the scan's float target is x s (1 + e), s = F_s/(n_out-1),
+    |e| <= 6.01u (six roundings, u = 2**-53), and its grid point j is
+    j s (1 + e_j), |e_j| <= 2.01u (the last point, F_s, borders a midpoint
+    only at n_out = 2, where it equals fl(1 * s)). Near the midpoint of
+    bins j and j+1 both distances are exact (Sterbenz), so the scan takes
+    j+1 iff (2x - 2j - 1) + E >= 0 with |E| <= 2x 6.01u + (2j+1) 2.01u
+    < (2j+1) 2**-49 <= (n_out+1) 2**-49. Bins farther from a midpoint thus
+    get q from both rules. The rest, min(r, 2 den - r) <= den (n_out+1)
+    2**-48 (twice the bound), are the exact ties (r = 0) and, once den *
+    n_out reaches 2**48, a few near-ties: as n_out <= 2**48 keeps |E| under
+    a quarter bin, the scan's comparison of the two bins around their
+    midpoint decides them.
+    """
+    n_out, band_width = _band_geometry(p, n_samples, source_rate_hz,
+                                       target_rate_hz, band_index)
+    den = 2 * p * (n_samples - 1)
+    bands, bins = np.broadcast_arrays(np.asarray(band_index, np.int64), np.arange(n_samples))
+    # Two named temporaries leave a hole below q, the long-lived plan, that fits
+    # encode's arrays (one cost wide64-complex ~1,600 page faults per request).
+    m = bands * (n_samples - 1) + bins
+    num = 2 * (n_out - 1) * m + den
+    q, r = np.divmod(num, 2 * den)
+    limit = (den * (n_out + 1)) >> 48
+    near = (r <= limit) | (r >= 2 * den - limit)
+    if near.any():
+        # the scan's float target, grid and <= at the two bins around the midpoint
+        b, k, lower = bands[near], bins[near], q[near] - (r[near] <= limit)
+        t = b * band_width + (k * (source_rate_hz / (n_samples - 1))) * (
+            band_width / source_rate_hz)
+        step = target_rate_hz / (n_out - 1)
+        q[near] = lower + (np.abs((lower + 1) * step - t) <= np.abs(lower * step - t))
+    return q
 
 
 def _collision_analysis(assignments, n_out):
@@ -175,10 +210,8 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         raise InfeasibleError(
             f"strict-lossless requires F_s >= p*f_s = {p * source_rate_hz:g} Hz, "
             f"got F_s = {target:g} Hz")
-    n_out, band_width, targets, grid, step = _band_geometry(
-        p, n_samples, source_rate_hz, target, np.arange(p)[:, None])
-    assignments = nearest_indices_fast(targets, grid, step)
-    del grid  # before the collision analysis, whose n_out arrays can reuse its memory
+    n_out, band_width = _band_geometry(p, n_samples, source_rate_hz, target, 0)
+    assignments = stack_fast(p, n_samples, source_rate_hz, target, np.arange(p)[:, None])
     collision_count, lossless, first_destructive = _collision_analysis(assignments, n_out)
 
     return BandPlan(

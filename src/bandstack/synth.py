@@ -8,12 +8,18 @@ record on every platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from bandstack.features import EEG_BANDS
 from bandstack.model import MultiChannelRecord, ValidationError
+
+
+def _check_rate(rate: float) -> None:
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValidationError(f"sample rate must be positive and finite, got {rate!r} Hz")
 
 
 def make_tones(p: int, n_samples: int, sample_rate_hz: float,
@@ -26,11 +32,15 @@ def make_tones(p: int, n_samples: int, sample_rate_hz: float,
     tones = list(tones)
     if len(tones) != p:
         raise ValidationError(f"tone table has {len(tones)} entries for p={p} channels")
+    _check_rate(sample_rate_hz)
     nyquist = sample_rate_hz / 2.0
     t = np.arange(n_samples) / sample_rate_hz
     channels = np.zeros((p, n_samples))
     for i, entries in enumerate(tones):
         for freq, amplitude, phase in entries:
+            for name, v in (("frequency", freq), ("amplitude", amplitude), ("phase", phase)):
+                if not math.isfinite(v):
+                    raise ValidationError(f"channel {i}: tone {name} is not finite: {v!r}")
             if not freq < nyquist:
                 raise ValidationError(
                     f"channel {i}: tone at {freq} Hz is not below Nyquist ({nyquist} Hz)")
@@ -59,6 +69,7 @@ def make_bandnoise(p: int, n_samples: int, sample_rate_hz: float,
         raise ValidationError("need p >= 1 and n_samples >= 2")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_rate(sample_rate_hz)
     lo, hi = EEG_BANDS[band]
     nyquist = sample_rate_hz / 2.0
     if lo >= nyquist:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, printed summaries."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,43 @@ def test_bench_without_scan_has_no_speedup(capsys):
     report = json.loads(capsys.readouterr().out)
     assert set(report["seconds"]) == {"fast"}
     assert report["speedup"] is None
+
+
+@pytest.mark.parametrize("bands", ["0", "-1"])
+def test_bench_refuses_an_empty_band_set(bands, capsys):
+    assert main(["bench", "-p", "2", "-n", "8", "--rate", "8", "--target-rate", "32",
+                 "--bands", bands, "--no-scan"]) == 2
+    assert "at least one band" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tones", "1:10", "--rate", "0"],
+    ["--band", "alpha", "--rate", "0"],
+    ["--tones", "1:-inf"],
+])
+def test_synth_refuses_bad_rates_and_tones_without_warnings(tmp_path, capsys, flags):
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["synth", str(out), *flags]) == 2
+    assert not caught
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # n_out = 5e18 fits intp but is past what the index arithmetic allows
+    ["encode", "{csv}", "{out}.wav", "--target-rate", "4e18"],
+    # 2p(n-1) * n_out = 128000 * 1.001e14 overflows int64
+    ["bench", "-p", "64", "-n", "1001", "--rate", "1", "--target-rate", "1e11", "--no-scan"],
+])
+def test_index_arithmetic_out_of_range_is_a_validation_error(tmp_path, record_csv,
+                                                              capsys, argv):
+    csv_path, _ = record_csv
+    argv = [a.format(csv=csv_path, out=tmp_path / "out") for a in argv]
+    assert main(argv) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.*"))
 
 
 @pytest.mark.parametrize("argv", [

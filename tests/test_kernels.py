@@ -1,10 +1,12 @@
-"""Kernel contracts: both algorithms, one answer."""
+"""Kernel contracts: the scan, the integer quotient and the literal search agree."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandstack._kernels import nearest_indices_fast, nearest_indices_scan
+from bandstack._kernels import nearest_indices_scan
+from bandstack.mapping import stack_fast, stack_oracle
+from bandstack.model import output_length
 from helpers import nearest_search_literal
 
 
@@ -17,7 +19,8 @@ def test_exact_midpoint_ties_resolve_upward():
     targets = np.array([3.0, 5.0, 4.0, 11.0, 0.0, 12.0])
     want = np.array([2, 3, 2, 6, 0, 6])
     assert np.array_equal(nearest_indices_scan(targets, grid), want)
-    assert np.array_equal(nearest_indices_fast(targets, grid, 2.0), want)
+    # targets 0, 1, 2 on the grid 0, 2, 4: the dyadic tie at 1 goes up
+    assert np.array_equal(stack_fast(1, 3, 4.0, 4.0, 0), [0, 1, 1])
 
 
 def test_ulp_neighbourhood_of_midpoints():
@@ -25,7 +28,6 @@ def test_ulp_neighbourhood_of_midpoints():
     for n_out in (2, 3, 17, 64):
         span = float(rng.uniform(0.5, 2000.0))
         grid = _grid(n_out, span)
-        step = span / (n_out - 1)
         mids = (grid[:-1] + grid[1:]) / 2.0
         targets = np.concatenate([
             mids,
@@ -35,22 +37,22 @@ def test_ulp_neighbourhood_of_midpoints():
             np.nextafter(grid, np.inf),
         ])
         scan = nearest_indices_scan(targets, grid)
-        fast = nearest_indices_fast(targets, grid, step)
-        assert np.array_equal(scan, fast)
         assert np.array_equal(scan, nearest_search_literal(targets, grid))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    n_out=st.integers(min_value=2, max_value=128),
-    span=st.floats(min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False),
-    seed=st.integers(min_value=0, max_value=2**31),
+    p=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=2, max_value=64),
+    n_out=st.integers(min_value=2, max_value=256),
+    source_rate=st.floats(min_value=1e-3, max_value=1e6),
+    frac=st.floats(min_value=-0.45, max_value=0.45),
 )
-def test_fast_equals_scan_property(n_out, span, seed):
-    grid = _grid(n_out, span)
-    step = span / (n_out - 1)
-    rng = np.random.default_rng(seed)
-    targets = rng.uniform(0.0, span, size=32)
-    scan = nearest_indices_scan(targets, grid)
-    fast = nearest_indices_fast(targets, grid, step)
-    assert np.array_equal(scan, fast)
+def test_fast_equals_scan_property(p, n, n_out, source_rate, frac):
+    # T * F_s = n_out + frac: the duration and the output length need not be
+    # integral
+    target_rate = (n_out + frac) * source_rate / n
+    assert output_length(n, source_rate, target_rate) == n_out
+    for band in range(p):
+        fast = stack_fast(p, n, source_rate, target_rate, band)
+        assert np.array_equal(fast, stack_oracle(p, n, source_rate, target_rate, band))

@@ -1,6 +1,8 @@
 """Mapping contracts: grids, oracle/fast equivalence, stacking semantics."""
 
 import dataclasses
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from bandstack.model import (
     InfeasibleError,
     TransformConfig,
     ValidationError,
+    output_length,
 )
 from bandstack.spectrum import forward_fft
 from bandstack.transform import roundtrip_report
@@ -106,6 +109,84 @@ def test_fast_equals_oracle_sweep():
                     assert np.array_equal(plan.assignments[b], scan), (p, n, n_out, b)
                 got = (plan.collision_count, plan.lossless, plan.first_destructive)
                 assert got == collisions_literal(plan.assignments, n_out), (p, n, n_out)
+
+
+# Plans over a fixed sweep, the three benchmark configurations and the tie
+# example below. Decode rebuilds the plan from the sidecar, so this digest
+# must never change: a different plan would misread every existing file.
+GOLDEN_CONFIGS = [
+    (p, n, f_s, ratio * p * f_s)
+    for p, n, f_s, ratio in itertools.product(
+        (1, 2, 3, 5, 8, 13, 30), (2, 3, 4, 5, 7, 9, 12, 16, 33, 100, 257, 1000),
+        (4.0, 250.0, 1000.0), (0.37, 0.5, 2 / 3, 1.0, 1.25, 1.5, 2.0, 3.7))
+] + [
+    (30, 10000, 1000.0, 16000.0), (64, 7680, 256.0, 32768.0), (8, 15000, 250.0, 4000.0),
+    (30, 4, 4.0, 178.0), (30, 4, 250.0, 11125.0),
+]
+GOLDEN_DIGEST = "b0b91171c4f132243d8df1beec6ff59b66236da6b8da3fdeb8b57848d118244f"
+
+
+def test_plans_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for p, n, f_s, F_s in GOLDEN_CONFIGS:
+        try:
+            plan = _plan(p, n, f_s, F_s)
+        except ValidationError:
+            digest.update(b"refused")
+            continue
+        digest.update(plan.assignments.tobytes())
+        digest.update(repr((plan.n_out, plan.collision_count, plan.lossless,
+                            plan.first_destructive)).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_exact_ties_follow_the_float_rounding():
+    # (9,3), (10,0) and (29,3) of p=30, n=4, n_out=178 lie exactly midway
+    # between two grid points; the rounding of their float targets, which
+    # depends on the rates, picks the bin
+    low = _plan(30, 4, 4.0, 178.0)
+    high = _plan(30, 4, 250.0, 11125.0)
+    assert low.n_out == high.n_out == 178
+    assert (low.assignments[10, 0], low.assignments[29, 3]) == (30, 88)
+    assert (high.assignments[10, 0], high.assignments[29, 3]) == (29, 89)
+    assert (low.first_destructive, high.first_destructive) == ((10, 0), (9, 2))
+
+
+def test_near_ties_on_a_long_record():
+    # 2p(n-1) * n_out > 2**49, so bins within r = 2 of a midpoint are
+    # re-decided too: band 19 holds one at r = 2, band 63 an exact tie
+    p, n, f_s, F_s = 64, 200000, 256.0, 32768.0
+    n_out, den = 25_600_000, 2 * p * (n - 1)
+    grid = destination_grid(n_out, F_s)
+    rng = np.random.default_rng(5)
+    for band, closest in ((19, 2), (63, 0)):
+        fast = stack_fast(p, n, f_s, F_s, band)
+        r = (2 * (band * (n - 1) + np.arange(n)) * (n_out - 1) + den) % (2 * den)
+        distance = np.minimum(r, 2 * den - r)
+        assert distance.min() == closest
+        bins = np.union1d(np.flatnonzero(distance <= den // 1000),
+                          rng.choice(n, 200, replace=False))
+        targets = stretched_frequencies(n, f_s, F_s / (2 * p), band)[bins]
+        for k, t in zip(bins, targets):
+            lo = fast[k] - 3
+            assert lo + nearest_search_literal([t], grid[lo:lo + 7])[0] == fast[k], (band, k)
+
+
+def test_a_near_tie_is_decided_by_the_float_rounding():
+    # Source bin 86408 of band 6 lies 1/den grid steps above the midpoint
+    # below bin q (r = 2), yet its float target rounds under that midpoint,
+    # so the scan takes q - 1. No grid of n_out ~ 2**37.6 points fits in memory: the
+    # scan runs on a window of points computed as linspace computes them.
+    p, n, f_s, F_s, band, k = 7, 183542, 568.5397087977499, 644658743.9153991, 6, 86408
+    n_out, den = output_length(n, f_s, F_s), 2 * p * (n - 1)
+    q, r = divmod(2 * (band * (n - 1) + k) * (n_out - 1) + den, 2 * den)
+    assert r == 2
+    step = F_s / (n_out - 1)
+    assert np.array_equal(destination_grid(1001, F_s)[:-1], np.arange(1000) * (F_s / 1000))
+    target = stretched_frequencies(n, f_s, F_s / (2 * p), band)[k]
+    window = np.arange(q - 3, q + 4)
+    assert window[nearest_search_literal([target], window * step)[0]] == q - 1
+    assert stack_fast(p, n, f_s, F_s, band)[k] == q - 1
 
 
 def test_every_assignment_is_in_the_half_spectrum_irfft_reads():
@@ -258,6 +339,9 @@ def test_plan_rejects_channel_count_mismatch():
     ((2, 8, 1e-300, 1e300, 0), "output length inf"),
     ((2, 8, 8.0, 16.0, 2), "band index 2"),
     ((2, 8, 8.0, 16.0, -1), "band index -1"),
+    ((2, 8, 8.0, 2.0**49, 0), r"output length 5\.6295e\+14"),
+    ((64, 1001, 1.0, 1e14 / 1001, 0), "overflows int64"),
+    ((2, 2, 2e-308, 4e-308, 0), "normal float range"),
 ])
 @pytest.mark.parametrize("path", [stack_fast, stack_oracle])
 def test_band_paths_check_their_arguments(path, args, message):

@@ -103,3 +103,24 @@ def test_unknown_band_rejected():
 def test_generated_records_validate():
     validate_record(make_bandnoise(2, 300, 250.0, "beta", seed=3).record)
     validate_record(make_tones(1, 300, 250.0, [[(5.0, 1.0, 0.0)]]))
+
+
+@pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+def test_generators_refuse_a_bad_rate_before_any_arithmetic(rate):
+    # RuntimeWarnings are errors under pytest, so a division by the rate
+    # before the check would fail here too
+    with pytest.raises(ValidationError, match=f"sample rate .* got {rate!r} Hz"):
+        make_tones(1, 8, rate, [[(1.0, 1.0, 0.0)]])
+    with pytest.raises(ValidationError, match=f"sample rate .* got {rate!r} Hz"):
+        make_bandnoise(1, 8, rate, "alpha")
+
+
+@pytest.mark.parametrize("tone, name", [
+    ((float("-inf"), 1.0, 0.0), "frequency"),
+    ((float("nan"), 1.0, 0.0), "frequency"),
+    ((5.0, float("inf"), 0.0), "amplitude"),
+    ((5.0, 1.0, float("nan")), "phase"),
+])
+def test_non_finite_tone_fields_are_refused_by_name(tone, name):
+    with pytest.raises(ValidationError, match=f"tone {name} is not finite"):
+        make_tones(1, 64, 250.0, [[tone]])
