@@ -51,6 +51,13 @@ def _parse_order(spec: str, p: int):
     return order
 
 
+def _record_and_config(args):
+    """The input record of encode or verify, and the configuration its flags give."""
+    record = bio.read_multichannel(args.input, format=args.input_format, rate_hz=args.rate)
+    return record, TransformConfig(args.target_rate, record.p, args.mode,
+                                   _parse_order(args.order, record.p))
+
+
 def _print_summary(plan) -> None:
     print(f"plan: p={plan.p} n={plan.n_samples} f_s={plan.source_rate_hz:g} Hz "
           f"F_s={plan.target_rate_hz:g} Hz mode={plan.mode}")
@@ -61,13 +68,7 @@ def _print_summary(plan) -> None:
 
 
 def cmd_encode(args) -> int:
-    record = bio.read_multichannel(args.input, format=args.input_format, rate_hz=args.rate)
-    config = TransformConfig(
-        target_rate_hz=args.target_rate,
-        channel_count=record.p,
-        mode=args.mode,
-        stacking_order=_parse_order(args.order, record.p),
-    )
+    record, config = _record_and_config(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CollisionWarning)
         signal = encode(record, config)
@@ -99,13 +100,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    record = bio.read_multichannel(args.input, format=args.input_format, rate_hz=args.rate)
-    config = TransformConfig(
-        target_rate_hz=args.target_rate,
-        channel_count=record.p,
-        mode=args.mode,
-        stacking_order=_parse_order(args.order, record.p),
-    )
+    if not args.threshold >= 0:  # NaN too
+        raise ValidationError(f"bad --threshold {args.threshold!r}: expected a number >= 0")
+    record, config = _record_and_config(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CollisionWarning)
         report = roundtrip_report(record, config)

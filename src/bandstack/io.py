@@ -34,6 +34,7 @@ import csv as _csv
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import replace
 from typing import Optional
@@ -305,15 +306,17 @@ def _read_csv_record(path, rate_hz):
     return MultiChannelRecord(data.T, rate, channel_names=names)  # columns are channels
 
 
+def _one_line(text: str) -> bool:
+    """Whether ``text`` reads back as one line of UTF-8 text: the readers split
+    at \\n and \\r, and UTF-8 cannot encode a lone surrogate."""
+    return re.search("[\n\r\ud800-\udfff]", text) is None
+
+
 def _header_names(row: str) -> Optional[tuple[str, ...]]:
     """The names the reader takes from ``row`` as a record's first data line,
     or None if it would read it as data, a comment, a blank or several lines,
     or if UTF-8 cannot encode it (a lone surrogate, which JSON escapes)."""
-    if "\r" in row or "\n" in row or row.strip()[:1] in ("", "#"):
-        return None
-    try:
-        row.encode("utf-8")
-    except UnicodeEncodeError:
+    if not _one_line(row) or row.strip()[:1] in ("", "#"):
         return None
     try:
         return _header_of([c.strip() for c in next(_csv.reader([row]))])
@@ -472,7 +475,8 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
     """Write a 2-D real matrix row-major, with dimensions in the header/sidecar.
 
     ``meta`` (string keys and values) records how the matrix was produced,
-    e.g. spectrogram window settings.
+    e.g. spectrogram window settings. CSV refuses an entry that its reader
+    would not give back unchanged.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
@@ -480,17 +484,28 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
     if not np.isfinite(m).all():
         bad = np.argwhere(~np.isfinite(m))[0]
         raise ValidationError(f"non-finite matrix entry at {tuple(int(v) for v in bad)}")
+    meta = {str(k): str(v) for k, v in (meta or {}).items()}
     if _resolve_format(path, format, "matrix") == "csv":
+        comments = _csv_meta_text(meta)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# rows={m.shape[0]} cols={m.shape[1]}\n")
-            for key, value in (meta or {}).items():
-                fh.write(f"# {key}={value}\n")
+            fh.write(f"# rows={m.shape[0]} cols={m.shape[1]}\n{comments}")
             _write_csv_rows(fh, m)
         return
     _write_raw(path, m)
     _write_sidecar(path, sidecar_text("matrix", {
-        "rows": m.shape[0], "cols": m.shape[1],
-        "meta": {str(k): str(v) for k, v in meta.items()} if meta else None}))
+        "rows": m.shape[0], "cols": m.shape[1], "meta": meta or None}))
+
+
+def _csv_meta_text(meta: dict) -> str:
+    """The ``# key=value`` lines of a CSV matrix's meta, refusing an entry
+    read_matrix would not give back: it strips both sides of the first ``=``
+    and takes ``rows=`` as the dimension comment."""
+    for key, value in meta.items():
+        if key == "rows" or "=" in key or not all(
+                _one_line(s) and s == s.strip() for s in (key, value)):
+            raise ValidationError(f"CSV matrix meta entry {key!r}: {value!r} would not read "
+                                  f"back unchanged (raw-f64 keeps any string)")
+    return "".join(f"# {k}={v}\n" for k, v in meta.items())
 
 
 def read_matrix(path, format: Optional[str] = None) -> tuple[np.ndarray, dict]:

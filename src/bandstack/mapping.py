@@ -52,6 +52,8 @@ from bandstack.model import (
     StackedSpectrum,
     TransformConfig,
     ValidationError,
+    check_counts,
+    check_rate,
     destination_grid,
     output_length,
 )
@@ -82,11 +84,9 @@ def _band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index):
     """Check a configuration for one band or a (k, 1) column of bands and
     return n_out and the band width. Refuses what would overflow the int64
     arithmetic of ``stack_fast`` or void its float error bound."""
-    if p < 1 or n_samples < 2:
-        raise ValidationError(f"need p >= 1 and n >= 2, got p={p}, n={n_samples}")
-    for name, rate in (("source", source_rate_hz), ("target", target_rate_hz)):
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValidationError(f"{name} rate must be positive and finite, got {rate!r}")
+    p, n_samples = check_counts(p, n_samples)
+    source_rate_hz = check_rate("source rate", source_rate_hz)
+    target_rate_hz = check_rate("target rate", target_rate_hz)
     try:
         n_out = output_length(n_samples, source_rate_hz, target_rate_hz)
     except OverflowError:  # T * F_s is infinite
@@ -198,7 +198,8 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     """
     if p != config.channel_count:
         raise ValidationError(f"config is for {config.channel_count} channels, got p={p}")
-    return _build_band_plan(int(p), int(n_samples), float(source_rate_hz), config)
+    return _build_band_plan(*check_counts(p, n_samples),
+                            check_rate("source rate", source_rate_hz), config)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)

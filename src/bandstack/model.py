@@ -1,8 +1,11 @@
 """Domain types for the band-stacking codec.
 
 Everything downstream (mapping, transform, io, features) speaks in terms of
-these containers. All of them validate their invariants on construction and
-are immutable afterwards, so they can be shared freely across threads.
+these containers. All of them are immutable, so they can be shared freely
+across threads, and all but BandPlan (built by mapping.build_band_plan) check
+their fields on construction. Each configuration field has one checker here
+(``check_rate``, ``check_counts``, ``check_mode``, ``check_order``), which
+every type and function that takes the field calls.
 
 Conventions: channel and band indices are 0-based everywhere in this library;
 the CLI and file sidecars use 1-based channel numbering and say so.
@@ -10,6 +13,8 @@ the CLI and file sidecars use 1-based channel numbering and say so.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,6 +57,48 @@ class DecodeError(BandstackError):
 
 class CollisionWarning(UserWarning):
     """Emitted when a lossy configuration is encoded anyway (non-strict modes)."""
+
+
+def check_rate(name: str, rate) -> float:
+    """``rate`` as a float, if it is a positive and finite number."""
+    try:
+        value = math.nan if isinstance(rate, (str, bytes)) else float(rate)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be positive and finite, got {rate!r} Hz")
+    return value
+
+
+def check_counts(p, n_samples=2) -> tuple[int, int]:
+    """(p, n_samples) as ints, if they are integers p >= 1 and n >= 2."""
+    try:
+        counts = operator.index(p), operator.index(n_samples)
+    except TypeError:
+        counts = (0, 0)
+    if counts[0] < 1 or counts[1] < 2:
+        raise ValidationError(f"need p >= 1 and n >= 2 samples, got p={p!r}, "
+                              f"n_samples={n_samples!r}")
+    return counts
+
+
+def check_mode(mode) -> None:
+    """Refuse a mode that is not one of MODES."""
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def check_order(order, p: int) -> tuple[int, ...]:
+    """``order`` as a tuple of ints, if it is a permutation of 0..p-1. The
+    lengths are compared first, so a huge p builds no list of p integers."""
+    try:
+        entries = tuple(map(operator.index, order))
+    except TypeError:
+        entries = None
+    if entries is None or len(entries) != p or sorted(entries) != list(range(p)):
+        raise ValidationError(f"stacking_order must be a permutation of 0..{p - 1} "
+                              f"(0-based), got {order!r}")
+    return entries
 
 
 def output_length(n_samples: int, source_rate_hz: float, target_rate_hz: float) -> int:
@@ -106,9 +153,8 @@ class MultiChannelRecord:
     def __post_init__(self):
         rows = _coerce_channels(self.channels)
         object.__setattr__(self, "channels", rows)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        if self.sample_rate_hz <= 0 or not np.isfinite(self.sample_rate_hz):
-            raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        object.__setattr__(self, "sample_rate_hz",
+                           check_rate("sample_rate_hz", self.sample_rate_hz))
         if self.channel_names is not None:
             names = tuple(str(n) for n in self.channel_names)
             if len(names) != rows.shape[0]:
@@ -166,8 +212,7 @@ def validate_record(record: MultiChannelRecord) -> None:
     if not isinstance(record, MultiChannelRecord):
         raise ValidationError(f"expected MultiChannelRecord, got {type(record).__name__}")
     _check_channels(record.channels)
-    if record.sample_rate_hz <= 0:
-        raise ValidationError(f"sample rate must be positive, got {record.sample_rate_hz}")
+    check_rate("sample_rate_hz", record.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -189,16 +234,14 @@ class ChannelSpectrum:
             raise ValidationError(f"spectrum needs >= 2 bins, got shape {bins.shape}")
         if not np.isfinite(bins).all():
             raise ValidationError("non-finite spectrum bin")
-        if self.source_rate_hz <= 0:
-            raise ValidationError("source rate must be positive")
+        rate = check_rate("source_rate_hz", self.source_rate_hz)
         if self.real_source:
-            n = bins.shape[0]
             mirror = np.conj(bins[-1:0:-1])
             tol = 1e-9 * max(np.abs(bins).max(), 1.0)
             if not np.allclose(bins[1:], mirror, atol=tol, rtol=0):
                 raise ValidationError("spectrum of a real channel must be conjugate-symmetric")
         object.__setattr__(self, "bins", _as_readonly(bins))
-        object.__setattr__(self, "source_rate_hz", float(self.source_rate_hz))
+        object.__setattr__(self, "source_rate_hz", rate)
 
     @property
     def n(self) -> int:
@@ -224,23 +267,13 @@ class TransformConfig:
     stacking_order: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.channel_count < 1:
-            raise ValidationError("channel_count must be >= 1")
-        if self.target_rate_hz <= 0 or not np.isfinite(self.target_rate_hz):
-            raise ValidationError("target rate must be positive and finite")
-        object.__setattr__(self, "target_rate_hz", float(self.target_rate_hz))
+        check_mode(self.mode)
+        p, _ = check_counts(self.channel_count)
+        object.__setattr__(self, "target_rate_hz",
+                           check_rate("target_rate_hz", self.target_rate_hz))
         order = self.stacking_order
-        if order is None:
-            order = tuple(range(self.channel_count))
-        else:
-            order = tuple(int(i) for i in order)
-            if sorted(order) != list(range(self.channel_count)):
-                raise ValidationError(
-                    f"stacking_order must be a permutation of 0..{self.channel_count - 1}, "
-                    f"got {order}")
-        object.__setattr__(self, "stacking_order", order)
+        object.__setattr__(self, "stacking_order",
+                           tuple(range(p)) if order is None else check_order(order, p))
 
 
 @dataclass(frozen=True)
@@ -309,10 +342,8 @@ class StackedSpectrum:
         bins = np.asarray(self.bins, dtype=np.complex128)
         if bins.ndim != 1 or bins.shape[0] < 2:
             raise ValidationError(f"stacked spectrum needs >= 2 bins, got shape {bins.shape}")
-        if self.rate_hz <= 0:
-            raise ValidationError("rate must be positive")
+        object.__setattr__(self, "rate_hz", check_rate("rate_hz", self.rate_hz))
         object.__setattr__(self, "bins", _as_readonly(bins))
-        object.__setattr__(self, "rate_hz", float(self.rate_hz))
 
     @property
     def n_out(self) -> int:
@@ -348,7 +379,7 @@ class WidebandSignal:
         if self.provenance.n_out != samples.shape[0]:
             raise ValidationError(
                 f"provenance says {self.provenance.n_out} samples, got {samples.shape[0]}")
-        rate_hz = float(self.rate_hz)
+        rate_hz = check_rate("rate_hz", self.rate_hz)
         if rate_hz != self.provenance.target_rate_hz:
             raise ValidationError(f"provenance says {self.provenance.target_rate_hz!r} Hz, "
                                   f"got rate_hz={rate_hz!r}")

@@ -22,7 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from bandstack.model import MODES, FormatError, ValidationError, output_length
+from bandstack.mapping import _band_geometry
+from bandstack.model import (
+    FormatError,
+    ValidationError,
+    check_mode,
+    check_order,
+    check_rate,
+    output_length,
+)
 
 FORMAT_VERSION = 1
 WIDEBAND_FORMATS = ("wav-f32", "raw-f64")
@@ -130,30 +138,20 @@ class SidecarHeader:
     data_format: str = "raw-f64"
 
     def __post_init__(self):
-        p = self.p
-        if p < 1 or self.n_samples < 2:
-            raise ValidationError(f"need p >= 1 and n_samples >= 2, got p={p}, "
-                                  f"n_samples={self.n_samples}")
         for name in ("source_rate_hz", "target_rate_hz"):
-            rate = getattr(self, name)
-            if not (math.isfinite(rate) and rate > 0):
-                raise ValidationError(f"{name} must be finite and > 0, got {rate!r}")
-        if self.n_out < 2:
-            raise ValidationError(f"output length {self.n_out} is too short (need >= 2)")
+            object.__setattr__(self, name, check_rate(name, getattr(self, name)))
+        # the configuration decode would refuse is refused here, when it is read
+        _band_geometry(self.p, self.n_samples, self.source_rate_hz, self.target_rate_hz, 0)
         scale = self.scale
         if not (math.isfinite(scale) and scale > 0 and math.frexp(scale)[0] == 0.5):
             raise ValidationError(f"scale must be a finite positive power of two, "
                                   f"got {scale!r}")
-        # lengths first, so a tampered p cannot build a list of p integers
-        if len(self.stacking_order) != p or sorted(self.stacking_order) != list(range(p)):
-            raise ValidationError(f"stacking_order must be a permutation of 0..{p - 1} "
-                                  f"(0-based), got {self.stacking_order}")
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        object.__setattr__(self, "stacking_order", check_order(self.stacking_order, self.p))
+        check_mode(self.mode)
         names = self.channel_names
-        if names is not None and (len(names) != p
+        if names is not None and (len(names) != self.p
                                   or not all(isinstance(n, str) for n in names)):
-            raise ValidationError(f"channel_names must be None or {p} strings, "
+            raise ValidationError(f"channel_names must be None or {self.p} strings, "
                                   f"got {names!r}")
 
     @property
@@ -188,8 +186,8 @@ class SidecarHeader:
             return cls(
                 p=payload["p"],
                 n_samples=payload["n_samples"],
-                source_rate_hz=float(payload["source_rate_hz"]),
-                target_rate_hz=float(payload["target_rate_hz"]),
+                source_rate_hz=payload["source_rate_hz"],
+                target_rate_hz=payload["target_rate_hz"],
                 mode=payload["mode"],
                 stacking_order=tuple(i - 1 for i in payload["stacking_order"]),
                 scale=float(payload["scale"]),
@@ -197,5 +195,5 @@ class SidecarHeader:
                 channel_names=tuple(names) if names is not None else None,
                 data_format=payload["data_format"],
             )
-        except (ValidationError, OverflowError) as exc:
+        except ValidationError as exc:
             raise FormatError(f"inconsistent wideband sidecar: {exc}") from exc

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bandstack.features import EEG_BANDS
-from bandstack.model import MultiChannelRecord, ValidationError
-
-
-def _check_rate(rate: float) -> None:
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValidationError(f"sample rate must be positive and finite, got {rate!r} Hz")
+from bandstack.model import MultiChannelRecord, ValidationError, check_counts, check_rate
 
 
 def make_tones(p: int, n_samples: int, sample_rate_hz: float,
@@ -27,12 +22,11 @@ def make_tones(p: int, n_samples: int, sample_rate_hz: float,
     """Cosine mixture record: ``tones[i]`` lists (freq_hz, amplitude, phase)
     for channel i. Channels with an empty list stay zero.
     """
-    if p < 1 or n_samples < 2:
-        raise ValidationError("need p >= 1 and n_samples >= 2")
+    p, n_samples = check_counts(p, n_samples)
     tones = list(tones)
     if len(tones) != p:
         raise ValidationError(f"tone table has {len(tones)} entries for p={p} channels")
-    _check_rate(sample_rate_hz)
+    sample_rate_hz = check_rate("sample rate", sample_rate_hz)
     nyquist = sample_rate_hz / 2.0
     t = np.arange(n_samples) / sample_rate_hz
     channels = np.zeros((p, n_samples))
@@ -65,11 +59,10 @@ def make_bandnoise(p: int, n_samples: int, sample_rate_hz: float,
     """
     if band not in EEG_BANDS:
         raise ValidationError(f"unknown band {band!r}; expected one of {sorted(EEG_BANDS)}")
-    if p < 1 or n_samples < 2:
-        raise ValidationError("need p >= 1 and n_samples >= 2")
+    p, n_samples = check_counts(p, n_samples)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    _check_rate(sample_rate_hz)
+    sample_rate_hz = check_rate("sample rate", sample_rate_hz)
     lo, hi = EEG_BANDS[band]
     nyquist = sample_rate_hz / 2.0
     if lo >= nyquist:

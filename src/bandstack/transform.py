@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,9 +70,6 @@ def _normalization_scale(peak: float) -> float:
 def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSignal:
     """Transform a multichannel record into one wideband waveform."""
     validate_record(record)
-    if record.p != config.channel_count:
-        raise ValidationError(
-            f"config is for {config.channel_count} channels, record has {record.p}")
     plan = build_band_plan(record.p, record.n_samples, record.sample_rate_hz, config)
     if not plan.lossless and config.mode != MODE_STRICT_LOSSLESS:
         warnings.warn(
@@ -190,15 +187,7 @@ class RoundtripReport:
     n_out: int
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs_error": self.max_abs_error,
-            "per_channel_rmse": list(self.per_channel_rmse),
-            "collision_count": self.collision_count,
-            "mode": self.mode,
-            "rate_feasible": self.rate_feasible,
-            "lossless": self.lossless,
-            "n_out": self.n_out,
-        }
+        return {**asdict(self), "per_channel_rmse": list(self.per_channel_rmse)}
 
 
 def roundtrip_report(record: MultiChannelRecord, config: TransformConfig) -> RoundtripReport:

@@ -111,6 +111,37 @@ def test_info_missing_file_is_io_error(tmp_path, capsys):
     assert "no sidecar" in capsys.readouterr().err
 
 
+# (p, n, f_s, F_s) that pass the sidecar's type table but that decode refuses:
+# n_out > 2**48, 2p(n-1) * n_out past int64, grid steps below the normal range
+@pytest.mark.parametrize("p, n, f_s, F_s, message", [
+    (2, 8, 8.0, 2.0**49, "outside 2..281474976710656"),
+    (64, 1001, 1.0, 1e14 / 1001, "overflows int64"),
+    (2, 2, 2e-308, 4e-308, "normal float range"),
+])
+@pytest.mark.parametrize("command", ["info", "decode", "spectrogram"])
+def test_a_sidecar_decode_would_refuse_is_refused_when_read(tmp_path, capsys, command,
+                                                            p, n, f_s, F_s, message):
+    data = tmp_path / "w.f64"
+    data.write_bytes(b"")
+    (tmp_path / "w.f64.sidecar").write_text(json.dumps({
+        "format_version": 1, "kind": "wideband", "p": p, "n_samples": n,
+        "source_rate_hz": f_s, "target_rate_hz": F_s, "mode": "real-hermitian",
+        "stacking_order": list(range(1, p + 1)), "scale": 1.0, "collision_count": 0,
+        "data_format": "raw-f64"}))
+    args = [command, str(data)] + ([] if command == "info" else [str(tmp_path / "out.csv")])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "inconsistent wideband sidecar" in err and message in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "-inf"])
+def test_verify_refuses_a_bad_threshold(record_csv, capsys, threshold):
+    csv_path, _ = record_csv
+    assert main(["verify", str(csv_path), "--target-rate", "192",
+                 f"--threshold={threshold}"]) == 2
+    assert "bad --threshold" in capsys.readouterr().err
+
+
 def test_decode_missing_sidecar_is_validation_error(tmp_path, record_csv, capsys):
     csv_path, _ = record_csv
     wav = tmp_path / "out.wav"

@@ -662,6 +662,35 @@ def test_matrix_roundtrip(tmp_path, fmt):
         assert path.read_text() == header + csv_rows_literal(m)
 
 
+@pytest.mark.parametrize("meta", [
+    {"note": "a\nb"},
+    {"note": "a\rb"},
+    {"rows=1 cols": "3"},
+    {"rows": "3"},
+    {"k=x": "v"},
+    {" k ": "v"},
+    {"k": "v "},
+    {"k": "\tv"},
+    {"k": "\udcff"},
+])
+def test_matrix_meta_csv_cannot_give_back_is_refused(tmp_path, meta):
+    m = np.ones((1, 3))
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValidationError, match="meta entry"):
+        bio.write_matrix(m, path, meta=meta)
+    assert not path.exists()
+    # raw-f64 keeps its meta in the JSON sidecar, which takes any string
+    bio.write_matrix(m, tmp_path / "m.f64", meta=meta)
+    assert bio.read_matrix(tmp_path / "m.f64")[1] == meta
+
+
+def test_matrix_meta_csv_gives_back_what_it_accepts(tmp_path):
+    meta = {"k": "x=y", "#a": "b\tc", "": "", "rowsx": "é", "window": 8}
+    path = tmp_path / "m.csv"
+    bio.write_matrix(np.ones((1, 3)), path, meta=meta)
+    assert bio.read_matrix(path)[1] == {k: str(v) for k, v in meta.items()}
+
+
 def test_matrix_paper_shape_roundtrip(tmp_path):
     m = np.zeros((513, 621))
     path = tmp_path / "spec.f64"
