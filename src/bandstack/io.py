@@ -47,6 +47,7 @@ from bandstack.model import (
     MultiChannelRecord,
     ValidationError,
     WidebandSignal,
+    check_rate,
 )
 from bandstack.sidecar import WIDEBAND_FORMATS, SidecarHeader, read_sidecar, sidecar_text
 
@@ -372,7 +373,7 @@ def write_wav_f32(path, samples: np.ndarray, rate_hz: float) -> None:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValidationError("WAV writer takes a mono sample vector")
-    rate = int(round(rate_hz))
+    rate = int(round(check_rate("rate_hz", rate_hz)))
     if not 0 < rate <= _WAV_MAX_RATE:
         raise ValidationError(f"WAV sample rate must round to an integer in "
                               f"1..{_WAV_MAX_RATE} Hz, got {rate_hz}")

@@ -108,7 +108,9 @@ def output_length(n_samples: int, source_rate_hz: float, target_rate_hz: float) 
     half-to-even otherwise (the residual is exposed as
     ``SidecarHeader.rate_residual``).
     """
-    return int(round((n_samples / source_rate_hz) * target_rate_hz))
+    n_samples = check_counts(1, n_samples)[1]
+    duration_s = n_samples / check_rate("source_rate_hz", source_rate_hz)
+    return int(round(duration_s * check_rate("target_rate_hz", target_rate_hz)))
 
 
 def destination_grid(n_out: int, target_rate_hz: float) -> np.ndarray:
@@ -229,7 +231,7 @@ class ChannelSpectrum:
     real_source: bool = False
 
     def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
+        bins = np.array(self.bins, dtype=np.complex128)  # never the caller's array
         if bins.ndim != 1 or bins.shape[0] < 2:
             raise ValidationError(f"spectrum needs >= 2 bins, got shape {bins.shape}")
         if not np.isfinite(bins).all():
@@ -339,7 +341,7 @@ class StackedSpectrum:
     rate_hz: float
 
     def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
+        bins = np.array(self.bins, dtype=np.complex128)  # never the caller's array
         if bins.ndim != 1 or bins.shape[0] < 2:
             raise ValidationError(f"stacked spectrum needs >= 2 bins, got shape {bins.shape}")
         object.__setattr__(self, "rate_hz", check_rate("rate_hz", self.rate_hz))

@@ -17,15 +17,17 @@ their conjugate mirror above n/2. Three modes:
   * ``strict-lossless`` - real output like real-hermitian, but refuses any
     configuration whose stacking would destroy channel content.
 
-Decode transforms the waveform once (``rfft`` in the real modes, whose
-gathers never read above bin n_out/2; a full FFT in paper-complex). In the
-real modes it undoes encode's halving by doubling the interior bins of that
-wideband spectrum (DC and Nyquist carry factor 1). It then gathers every
-channel's informative lower-half bins at once and inverts them in one
-batched real inverse FFT, which restores the mirror half by conjugate
-symmetry. The upper-half reads would be wrong anyway: adjacent
-bands structurally overwrite each other's boundary bin, and only the
-redundant conjugate copy is lost there.
+Decode transforms the waveform once, with one ``rfft`` of its real plane
+(the gathers never read above bin n_out/2), and doubles that wideband
+spectrum's interior bins. In the real modes that undoes encode's halving. In
+paper-complex the spectrum S is one-sided, so bin k of the real plane,
+(S[k] + conj(S[-k])) / 2, is S[k] / 2 inside but only Re S[k] at DC and
+Nyquist, their own mirrors; decode takes those two bins from direct sums of
+the complex samples instead. It then gathers every channel's informative
+lower-half bins at once and inverts them in one batched real inverse FFT,
+which restores the mirror half by conjugate symmetry. The upper-half reads
+would be wrong anyway: adjacent bands structurally overwrite each other's
+boundary bin, and only the redundant conjugate copy is lost there.
 
 Amplitude scale: stored samples are peak-normalized to at most 0.9 by an
 exact power of two recorded in the provenance, so descaling at decode is
@@ -147,19 +149,19 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
         kind = "complex" if signal.is_complex else "real"
         raise DecodeError(f"{kind} samples with mode {prov.mode!r}: mode mismatch")
 
-    # A huge scale can overflow a tampered signal's samples or its FFTs,
-    # which only ever makes the channels non-finite. The record's own
-    # finiteness check catches that, so a good signal pays for no extra pass.
+    # A huge scale can overflow a tampered signal's samples, FFTs or edge
+    # sums. What reaches the channels makes them non-finite, and the record's
+    # own finiteness check catches that, so a good signal pays no extra pass.
     with np.errstate(over="ignore", invalid="ignore"):
-        raw_samples = signal.samples * prov.scale
-        if prov.mode == MODE_PAPER_COMPLEX:
-            raw = np.fft.fft(raw_samples)
-        else:
-            # Only bins <= n_out/2 are read, which is exactly what rfft
-            # returns. Encode halved the interior bins; DC and (even n_out)
-            # Nyquist it left alone.
-            raw = np.fft.rfft(raw_samples)
-            raw[1:(plan.n_out + 1) // 2] *= 2.0
+        # Only bins <= n_out/2 are read, which is exactly what rfft returns.
+        s = signal.samples
+        raw = np.fft.rfft(s.real * prov.scale)
+        raw[1:(plan.n_out + 1) // 2] *= 2.0
+        if signal.is_complex:
+            # The real plane keeps only the real part of DC and Nyquist.
+            raw[0] = s.sum() * prov.scale
+            if plan.n_out % 2 == 0:
+                raw[-1] = (s[::2].sum() - s[1::2].sum()) * prov.scale
         n = prov.n_samples
         lower = raw[plan.assignments[:, :n // 2 + 1]]
         channels = np.empty((prov.p, n), dtype=np.float64)

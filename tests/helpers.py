@@ -4,7 +4,8 @@ Nothing here may call into the code paths it checks: the DFT oracle is the
 direct quadratic sum (no FFT), the nearest-bin oracle is a literal
 scan-every-candidate loop, the stacking and collision oracles are the
 plain overwrite loop, the real-mode fold is a per-bin loop, the decode
-oracle is the masked-doubling gather that decode replaced, the CSV reader
+oracle is the masked-doubling gather that decode replaced (and, for
+paper-complex, the direct DFT of the real plane with direct edge sums), the CSV reader
 and writer are the cell-by-cell loops that the block versions replaced, and
 the feature oracles are the per-channel band loop and the fancy-index STFT
 gather that the batched features replaced, and the band-noise oracle is the
@@ -102,6 +103,25 @@ def decode_masked_literal(signal, plan) -> np.ndarray:
         lower[~edge] *= 2.0
     channels = np.empty((prov.p, n), dtype=np.float64)
     channels[list(plan.stacking_order)] = np.fft.irfft(lower, n, axis=1)
+    return channels
+
+
+def decode_real_plane_literal(signal, plan) -> np.ndarray:
+    """Paper-complex decode's channels from the real plane alone: the direct
+    DFT of the scaled real plane up to bin n_out/2, interior bins doubled,
+    DC and (even n_out) Nyquist taken from direct sums of the complex
+    samples, then the gather and the real inverse."""
+    prov = signal.provenance
+    s = np.asarray(signal.samples, dtype=np.complex128)
+    n, n_out = prov.n_samples, plan.n_out
+    raw = direct_dft(s.real * prov.scale)[:n_out // 2 + 1]
+    raw[1:(n_out + 1) // 2] *= 2.0
+    raw[0] = sum(complex(v) for v in s) * prov.scale
+    if n_out % 2 == 0:
+        raw[n_out // 2] = sum(complex(v) * (-1) ** t for t, v in enumerate(s)) * prov.scale
+    channels = np.empty((prov.p, n), dtype=np.float64)
+    channels[list(plan.stacking_order)] = np.fft.irfft(raw[plan.assignments[:, :n // 2 + 1]],
+                                                       n, axis=1)
     return channels
 
 

@@ -454,6 +454,14 @@ def test_wav_over_4_gib_rejected(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -8000.0])
+def test_wav_writer_refuses_a_bad_rate_before_rounding(tmp_path, rate):
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValidationError, match="rate_hz must be positive and finite"):
+        bio.write_wav_f32(path, np.zeros(4), rate)
+    assert not path.exists()
+
+
 def test_wav_size_limit_boundary():
     # the RIFF size field holds 48 + 4n; 2**30 - 13 samples is the longest
     # that fits in 32 bits

@@ -102,6 +102,17 @@ def test_spectrum_symmetry_enforced_for_real_sources():
     ChannelSpectrum(broken, 4.0)  # unconstrained spectra may be asymmetric
 
 
+@pytest.mark.parametrize("make", [lambda b: ChannelSpectrum(b, 4.0),
+                                  lambda b: StackedSpectrum(b, 4.0)],
+                         ids=["ChannelSpectrum", "StackedSpectrum"])
+def test_spectrum_types_leave_the_callers_array_writable(make):
+    bins = np.ones(4, dtype=np.complex128)
+    spectrum = make(bins)
+    assert bins.flags.writeable and not spectrum.bins.flags.writeable
+    bins[0] = 2.0
+    assert spectrum.bins[0] == 1.0
+
+
 def test_bin_frequency_grid_is_inclusive():
     spec = ChannelSpectrum(np.fft.fft(np.zeros(5) + 1.0), 40.0, real_source=True)
     assert spec.bin_frequency(0) == 0.0
@@ -203,6 +214,8 @@ _CALLERS = {
         "stack_oracle-target": (lambda v: stack_oracle(3, 8, 8.0, v, 0), "target rate", 48.0),
         "make_tones": (lambda v: make_tones(3, 8, v, [[]] * 3), "sample rate", 8.0),
         "make_bandnoise": (lambda v: make_bandnoise(3, 8, v, "alpha"), "sample rate", 250.0),
+        "output_length-source": (lambda v: output_length(8, v, 48.0), "source_rate_hz", 8.0),
+        "output_length-target": (lambda v: output_length(8, 8.0, v), "target_rate_hz", 48.0),
     },
     "count": {
         "TransformConfig": (lambda v: TransformConfig(48.0, v), "p=", 3),
@@ -218,6 +231,7 @@ _CALLERS = {
         "make_tones-n": (lambda v: make_tones(3, v, 8.0, [[]] * 3), "n_samples=", 8),
         "make_bandnoise-p": (lambda v: make_bandnoise(v, 8, 250.0, "alpha"), "p=", 3),
         "make_bandnoise-n": (lambda v: make_bandnoise(3, v, 250.0, "alpha"), "n_samples=", 8),
+        "output_length": (lambda v: output_length(v, 8.0, 48.0), "n_samples=", 8),
     },
     "mode": {
         "TransformConfig": (lambda v: TransformConfig(48.0, 3, mode=v), "mode",

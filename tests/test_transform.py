@@ -24,6 +24,7 @@ from bandstack.spectrum import forward_fft
 from bandstack.transform import decode, encode, roundtrip_report
 from helpers import (
     decode_masked_literal,
+    decode_real_plane_literal,
     direct_dft,
     direct_idft,
     hermitian_fold_literal,
@@ -301,8 +302,43 @@ def test_decode_matches_the_masked_gather_bitwise(p, n, n_out, mode):
         noise = noise + 1j * rng.standard_normal(n_out)
     for signal in (sig, WidebandSignal(noise, sig.rate_hz, sig.provenance)):
         got = decode(signal).channels
-        want = decode_masked_literal(signal, plan)
-        assert got.tobytes() == want.tobytes()
+        if mode == MODE_PAPER_COMPLEX:
+            # paper-complex decode reads the real plane and two edge sums, so
+            # complex noise (not one-sided) has its own oracle, and the FFT
+            # and the direct DFT round differently
+            assert rel_max_err(got, decode_real_plane_literal(signal, plan)) < 1e-12
+        else:
+            want = decode_masked_literal(signal, plan)
+            assert got.tobytes() == want.tobytes()
+
+
+# _LITERAL_SHAPES plus larger (p, n), each lossless at 2p(n-1), 2p(n-1)+1 and
+# 4x (a long empty gap above the bands), lossy at p*n and 0.3x, and tiny at
+# n_out 2 and 3
+_SWEEP_SHAPES = sorted(set(_LITERAL_SHAPES) | {
+    (p, n, n_out)
+    for p, n in ((1, 250), (3, 7), (4, 101), (7, 64), (8, 250))
+    for n_out in (2 * p * (n - 1), 2 * p * (n - 1) + 1, p * n,
+                  int(0.3 * 2 * p * (n - 1)), 4 * 2 * p * (n - 1) + 1, 2, 3)})
+
+
+def test_sweep_shapes_cover_lossy_lossless_tiny_and_both_parities():
+    plans = [_literal_case(p, n, n_out, MODE_PAPER_COMPLEX)[2]
+             for p, n, n_out in _SWEEP_SHAPES]
+    assert {plan.lossless for plan in plans} == {True, False}
+    assert {plan.n_out % 2 for plan in plans} == {0, 1}
+    assert {2, 3} <= {plan.n_out for plan in plans}
+    assert max(plan.p * plan.n_samples for plan in plans) == 8 * 250
+
+
+@pytest.mark.parametrize("p,n,n_out", _SWEEP_SHAPES)
+def test_paper_complex_decode_matches_the_full_fft_decode(p, n, n_out):
+    rec, cfg, plan = _literal_case(p, n, n_out, MODE_PAPER_COMPLEX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
+        sig = encode(rec, cfg)
+    got = decode(sig).channels
+    assert rel_max_err(got, decode_masked_literal(sig, plan)) < 1e-12
 
 
 def test_decode_rejects_wrong_collision_count():
@@ -360,6 +396,27 @@ def test_decode_blames_the_spectrum_when_its_fft_overflows(mode):
     sig = encode(rec, _cfg(2, 32.0, mode=mode))
     forged = WidebandSignal(
         np.full_like(sig.samples, 1.8 + 1.8j if sig.is_complex else 1.8),
+        sig.rate_hz,
+        dataclasses.replace(sig.provenance, scale=2.0 ** 1023),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
+        with pytest.raises(DecodeError, match=r"wideband spectrum overflows .* 2\*\*1023"):
+            decode(forged)
+
+
+@pytest.mark.parametrize("target_rate", [1.0, 1.5])
+def test_decode_blames_the_spectrum_when_an_edge_sum_overflows(target_rate):
+    # a paper-complex file with a zero real plane: its rfft is finite, but
+    # the complex DC sum of 1.8j per sample at the largest legal scale is not.
+    # n_out is 2 (with a Nyquist bin) or 3 (without), so channel bins above
+    # DC read wideband DC; channel DC alone would drop the imaginary part.
+    rec = random_record(np.random.default_rng(1), 2, 16, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
+        sig = encode(rec, _cfg(2, target_rate, mode=MODE_PAPER_COMPLEX))
+    forged = WidebandSignal(
+        np.full_like(sig.samples, 1.8j),
         sig.rate_hz,
         dataclasses.replace(sig.provenance, scale=2.0 ** 1023),
     )
