@@ -192,14 +192,19 @@ def _coerce_channels(channels) -> np.ndarray:
     return _as_readonly(rows)
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """No NaN or infinity in a float64 array. min and max propagate NaN and
+    reach any infinity, and allocate nothing."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 def _check_channels(rows: np.ndarray) -> None:
     """Check a float64 channel array's shape and values without copying it."""
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValidationError(f"expected a (p, n) channel array, got shape {rows.shape}")
     if rows.shape[1] < 2:
         raise ValidationError(f"channels must hold at least 2 samples, got {rows.shape[1]}")
-    # min and max propagate NaN and reach any infinity, and allocate nothing.
-    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+    if not _all_finite(rows):
         ch, idx = np.argwhere(~np.isfinite(rows))[0]
         raise ValidationError(f"non-finite sample at channel {ch}, index {idx}")
 
@@ -234,7 +239,7 @@ class ChannelSpectrum:
         bins = np.array(self.bins, dtype=np.complex128)  # never the caller's array
         if bins.ndim != 1 or bins.shape[0] < 2:
             raise ValidationError(f"spectrum needs >= 2 bins, got shape {bins.shape}")
-        if not np.isfinite(bins).all():
+        if not _all_finite(bins.view(np.float64)):  # contiguous after the copy
             raise ValidationError("non-finite spectrum bin")
         rate = check_rate("source_rate_hz", self.source_rate_hz)
         if self.real_source:
@@ -374,7 +379,7 @@ class WidebandSignal:
             samples = samples.astype(np.float64, copy=True)
         if samples.ndim != 1 or samples.shape[0] < 2:
             raise ValidationError(f"wideband signal needs >= 2 samples, got {samples.shape}")
-        if not np.isfinite(samples).all():
+        if not _all_finite(samples.view(np.float64)):  # contiguous after the copy
             raise ValidationError("non-finite wideband sample")
         if self.provenance is None:
             raise ValidationError("wideband signal requires provenance")

@@ -32,11 +32,18 @@ boundary bin, and only the redundant conjugate copy is lost there.
 Amplitude scale: stored samples are peak-normalized to at most 0.9 by an
 exact power of two recorded in the provenance, so descaling at decode is
 bit-exact and WAV export never clips.
+
+Scratch: encode stacks and (in paper-complex) inverts in place in one held
+complex spectrum, and decode transforms into it. Each thread keeps one, of
+n_out bins in paper-complex and n_out//2 + 1 in the real modes, so at most
+16*n_out bytes; it is replaced when n_out or the mode changes its length.
+Every array that encode or decode returns is fresh and owned by the caller.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -67,6 +74,22 @@ def _normalization_scale(peak: float) -> float:
     if peak / scale > 0.9 and k < 1023:
         scale *= 2.0
     return scale
+
+
+_scratch = threading.local()
+
+
+def _wideband_buffer(n_out: int, complex_mode: bool) -> np.ndarray:
+    """This thread's complex scratch spectrum: n_out bins in paper-complex
+    mode, n_out//2 + 1 in the real modes. Like the plan cache it holds one
+    entry, and the old array is freed before a new size is allocated."""
+    size = n_out if complex_mode else n_out // 2 + 1
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or buffer.shape[0] != size:
+        del buffer
+        _scratch.buffer = None
+        _scratch.buffer = buffer = np.empty(size, dtype=np.complex128)
+    return buffer
 
 
 def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSignal:
@@ -101,17 +124,19 @@ def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSigna
         np.conjugate(spectra[:, (n + 1) // 2 - 1:0:-1], out=spectra[:, h:])
         # Every band lies below F_s/2, so the real modes stack straight into
         # the n_out//2 + 1 bins that irfft reads.
-        stacked = np.zeros(n_out if complex_mode else n_out // 2 + 1, dtype=np.complex128)
+        stacked = _wideband_buffer(n_out, complex_mode)
+        stacked.fill(0)
         _stack_into(stacked, spectra, plan)
         del spectra
         if complex_mode:
-            samples = np.fft.ifft(stacked)
+            samples = np.fft.ifft(stacked, out=stacked)
+            peak = float(np.abs(samples).max())
         else:
             # Halving the interior makes the real inverse equal the real part
             # of the complex one, which is what decode's doubling assumes.
             stacked[1:(n_out + 1) // 2] *= 0.5
             samples = np.fft.irfft(stacked, n_out)
-        peak = float(np.abs(samples).max())
+            peak = float(max(samples.max(), -samples.min()))
     if not math.isfinite(peak):
         raise ValidationError("the record's spectrum overflows float64; scale the "
                               "channels down before encoding")
@@ -127,7 +152,9 @@ def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSigna
         collision_count=plan.collision_count,
         channel_names=record.channel_names,
     )
-    return WidebandSignal(samples / scale, config.target_rate_hz, provenance)
+    samples /= scale
+    # The signal copies the samples, so it never shares the held buffer.
+    return WidebandSignal(samples, config.target_rate_hz, provenance)
 
 
 def decode(signal: WidebandSignal) -> MultiChannelRecord:
@@ -154,9 +181,14 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
     # own finiteness check catches that, so a good signal pays no extra pass.
     with np.errstate(over="ignore", invalid="ignore"):
         # Only bins <= n_out/2 are read, which is exactly what rfft returns.
+        # The scale is a power of two, so applying it after the transform
+        # gives the same bits as before it, unless a product is subnormal
+        # (then after is the more accurate).
         s = signal.samples
-        raw = np.fft.rfft(s.real * prov.scale)
+        raw = _wideband_buffer(plan.n_out, signal.is_complex)[:plan.n_out // 2 + 1]
+        np.fft.rfft(s.real, out=raw)
         raw[1:(plan.n_out + 1) // 2] *= 2.0
+        raw *= prov.scale
         if signal.is_complex:
             # The real plane keeps only the real part of DC and Nyquist.
             raw[0] = s.sum() * prov.scale

@@ -178,6 +178,35 @@ def test_wideband_signal_rate_must_match_provenance():
         WidebandSignal(np.zeros(8), 4.0, prov)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(1.0, -np.inf)])
+def test_wideband_signal_and_spectrum_refuse_any_non_finite_part(bad):
+    prov = _header(p=1, n_samples=4, source_rate_hz=4.0, target_rate_hz=8.0,
+                   stacking_order=(0,), collision_count=0)
+    values = np.zeros(8, dtype=type(bad))
+    values[5] = bad
+    with pytest.raises(ValidationError, match="^non-finite wideband sample$"):
+        WidebandSignal(values, 8.0, prov)
+    with pytest.raises(ValidationError, match="^non-finite spectrum bin$"):
+        ChannelSpectrum(values, 4.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_wideband_signal_checks_finiteness_without_a_mask(dtype):
+    n = 100_000
+    prov = _header(p=1, n_samples=n // 2, source_rate_hz=4.0, target_rate_hz=8.0,
+                   stacking_order=(0,), collision_count=0)
+    samples = np.ones(n, dtype=dtype)
+    tracemalloc.start()
+    try:
+        WidebandSignal(samples, 8.0, prov)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # its own copy, and no n-element finiteness mask beside it
+    assert peak < samples.nbytes * 1.01
+
+
 # Every constructor and function that takes a rate, a count, a mode or a band
 # order, with the rest of a good configuration (p=3, n=8, f_s=8 Hz, F_s=48 Hz):
 # field -> {caller: (call with the field set to v, the field's name in the

@@ -1,0 +1,143 @@
+"""The per-thread scratch spectrum of encode and decode: memory and threads."""
+
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+
+from bandstack.model import (
+    MODE_PAPER_COMPLEX,
+    MODE_REAL_HERMITIAN,
+    MODE_STRICT_LOSSLESS,
+    MultiChannelRecord,
+    TransformConfig,
+)
+from bandstack.transform import _wideband_buffer, decode, encode
+
+# p=4, n=1024 at 1024 Hz into 65536 Hz: n_out = 65536 = 2 * 8*p*n, so the
+# wideband arrays dwarf the channel ones.
+_P, _N, _RATE, _TARGET = 4, 1024, 1024.0, 65536.0
+
+
+def _record(seed=0):
+    rng = np.random.default_rng(seed)
+    return MultiChannelRecord(rng.standard_normal((_P, _N)), _RATE)
+
+
+def _traced_peak(fn):
+    """Peak traced bytes while ``fn`` runs in a fresh thread, which starts
+    with no scratch spectrum of its own; returns (peak, fn's result)."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    tracemalloc.start()
+    try:
+        thread.start()
+        thread.join(timeout=60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive()
+    return peak, result[0]
+
+
+def test_paper_complex_encode_holds_two_wideband_arrays_at_most():
+    # the scratch spectrum is allocated inside the traced call, and the
+    # returned signal's samples are the only other n_out array
+    cfg = TransformConfig(_TARGET, _P, mode=MODE_PAPER_COMPLEX)
+    rec = _record()
+    encode(rec, cfg)  # builds and caches the plan outside the trace
+    peak, sig = _traced_peak(lambda: encode(rec, cfg))
+    assert sig.n_out == 65536
+    assert peak <= 2.5 * 16 * sig.n_out
+
+
+def test_a_new_length_frees_the_old_scratch_before_allocating():
+    def switch_lengths():
+        old = _wideband_buffer(2 ** 17, True).nbytes
+        tracemalloc.reset_peak()
+        new = _wideband_buffer(2 ** 15, False).nbytes
+        return old, new, tracemalloc.get_traced_memory()[0]
+
+    peak, (old, new, current) = _traced_peak(switch_lengths)
+    assert current < old  # the thread holds only the new buffer
+    assert peak < old + new
+
+
+def test_returned_arrays_never_share_the_scratch():
+    for mode in (MODE_PAPER_COMPLEX, MODE_REAL_HERMITIAN):
+        cfg = TransformConfig(_TARGET, _P, mode=mode)
+        first = encode(_record(1), cfg)
+        decoded = decode(first)
+        samples, channels = first.samples.copy(), decoded.channels.copy()
+        decode(encode(_record(2), cfg))
+        assert first.samples.tobytes() == samples.tobytes()
+        assert decoded.channels.tobytes() == channels.tobytes()
+
+
+def test_decode_allocates_no_scaled_wideband_copy():
+    # real mode in a fresh thread: the half-length scratch is 8*n_out bytes
+    cfg = TransformConfig(_TARGET, _P, mode=MODE_REAL_HERMITIAN)
+    sig = encode(_record(), cfg)
+    peak, _ = _traced_peak(lambda: decode(sig))
+    assert peak <= 1.6 * 8 * sig.n_out
+
+
+def test_paper_complex_decode_reuses_the_encode_scratch():
+    cfg = TransformConfig(_TARGET, _P, mode=MODE_PAPER_COMPLEX)
+    rec = _record()
+    encode(rec, cfg)
+
+    def encode_then_traced_decode():
+        sig = encode(rec, cfg)
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        decode(sig)
+        return tracemalloc.get_traced_memory()[1] - base, sig.n_out
+
+    _, (peak, n_out) = _traced_peak(encode_then_traced_decode)
+    assert peak <= 0.6 * 8 * n_out
+
+
+# Four configurations whose scratch lengths all differ (n_out and mode), so
+# threads that shared one buffer would overwrite each other's spectra.
+_THREAD_CASES = (
+    (3, 64, 400.0, MODE_PAPER_COMPLEX),
+    (3, 64, 401.0, MODE_REAL_HERMITIAN),
+    (2, 48, 200.0, MODE_PAPER_COMPLEX),
+    (2, 48, 257.0, MODE_STRICT_LOSSLESS),
+)
+
+
+def _roundtrip_bytes(case, record):
+    p, _, target, mode = case
+    sig = encode(record, TransformConfig(target, p, mode=mode))
+    return sig.samples.tobytes() + decode(sig).channels.tobytes()
+
+
+def test_concurrent_encode_decode_matches_serial_bytes():
+    records = [MultiChannelRecord(np.random.default_rng(i).standard_normal((p, n)), float(n))
+               for i, (p, n, _, _) in enumerate(_THREAD_CASES)]
+    want = [_roundtrip_bytes(case, rec) for case, rec in zip(_THREAD_CASES, records)]
+    mismatches, finished = [], []
+
+    def worker(start):
+        for call in range(200):
+            k = (start + call) % len(_THREAD_CASES)
+            if _roundtrip_bytes(_THREAD_CASES[k], records[k]) != want[k]:
+                mismatches.append((start, call))
+        finished.append(start)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the pipelines
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert mismatches == []
