@@ -19,21 +19,26 @@ Two per-band assignment paths, both checked by ``_band_geometry``:
 
 ``build_band_plan`` runs ``stack_fast`` once over a column of all p bands
 and stores one (p, n) matrix. Decode rebuilds the plan from the sidecar, so
-the assignments are part of the file format. The layout depends only on the
-configuration, never on the samples, so the plan of the most recent
-configuration is kept and shared by every caller with an equal one. That
-is safe because a plan is a frozen dataclass whose arrays are read-only
-views of read-only arrays, which numpy refuses to make writable again. One
-entry suffices because encode followed by decode of one record needs a
-single live configuration; a plan that never repeats is only held memory.
+the assignments are part of the file format. From the final writer of each
+bin the plan also derives encode's source map (``BandPlan.source`` and
+``sign``, about 9 bytes per bin up to n_out/2), so encode gathers every
+wideband bin once from the channel rfft instead of replaying the writes.
+The layout depends only on the configuration, never on the samples, so the
+plan of the most recent configuration is kept and shared by every caller
+with an equal one. That is safe because a plan is a frozen dataclass whose
+arrays are read-only views of read-only arrays, which numpy refuses to make
+writable again. One entry suffices because encode followed by decode of
+one record needs a single live configuration; a plan that never repeats is
+only held memory.
 
 Collisions: adjacent bands share their boundary frequency because the source
 grid spans 0..f_s inclusive, so for p >= 2 some destination bins are always
 written twice (later band wins). What decides invertibility is whether any
 channel's *informative* bins (the lower spectral half; the rest is conjugate
-redundancy for real channels) get clobbered; the plan computes that exactly
-and reports it as ``lossless``, alongside the coarse rate-floor predicate
-F_s >= p * f_s (necessary, not sufficient).
+redundancy for real channels) get clobbered; the plan computes that exactly,
+over the n_out//2 + 1 bins the bands reach, and reports it as ``lossless``,
+alongside the coarse rate-floor predicate F_s >= p * f_s (necessary, not
+sufficient).
 """
 
 from __future__ import annotations
@@ -158,26 +163,50 @@ def stack_fast(p: int, n_samples: int, source_rate_hz: float,
     return q
 
 
-def _collision_analysis(assignments, n_out):
+def _collision_analysis(assignments, n_bins):
     """Count multiply-written bins and check the informative half survives.
 
-    Writes happen band-major, source-bin ascending; numpy fancy assignment
-    reproduces that overwrite order. A plan is lossless iff every (band,
-    j <= n//2) write is the final writer of its destination bin.
+    Every assignment is below ``n_bins`` = n_out//2 + 1. Writes happen
+    band-major, source-bin ascending; numpy fancy assignment reproduces that
+    overwrite order. A plan is lossless iff every (band, j <= n//2) write is
+    the final writer of its destination bin. Also returns each bin's final
+    writer as the write index b*n + j, or p*n where nothing writes.
     """
     p, n = assignments.shape
     flat = assignments.ravel()
-    collision_count = int((np.bincount(flat, minlength=n_out) > 1).sum())
+    collision_count = int((np.bincount(flat, minlength=n_bins) > 1).sum())
 
     writes = np.arange(p * n)
-    final_writer = np.empty(n_out, dtype=np.int64)
+    final_writer = np.full(n_bins, p * n)
     final_writer[flat] = writes
     low = n // 2 + 1
     survives = final_writer[assignments[:, :low]] == writes.reshape(p, n)[:, :low]
     if survives.all():
-        return collision_count, True, None
+        return collision_count, True, None, final_writer
     b, j = np.argwhere(~survives)[0]
-    return collision_count, False, (int(b), int(j))
+    return collision_count, False, (int(b), int(j)), final_writer
+
+
+def _source_map(final_writer, n, stacking_order, source, sign):
+    """Fill encode's gather map ``source`` and ``sign`` from each bin's
+    final writer.
+
+    Write b*n + j puts channel c = stacking_order[b]'s bin j in place, which
+    for j >= h = n//2 + 1 is conj(rfft[c, n - j]); its source is c*h + j or
+    c*h + (n - j) in the flattened channel-order rfft. Both maps are tables
+    over the p*n writes, gathered at the final writers; the unwritten marker
+    p*n indexes one more entry, the zero after the p*h rfft bins.
+    """
+    p, h = len(stacking_order), n // 2 + 1
+    rfft_bin = np.arange(n)
+    rfft_bin[h:] = n - rfft_bin[h:]
+    by_write = np.empty(p * n + 1, dtype=np.intp)
+    np.add(np.multiply(stacking_order, h)[:, None], rfft_bin, out=by_write[:-1].reshape(p, n))
+    by_write[-1] = p * h
+    np.take(by_write, final_writer, out=source, mode="clip")
+    sign_by_write = np.ones(p * n + 1, dtype=np.int8)
+    sign_by_write[:-1].reshape(p, n)[:, h:] = -1
+    np.take(sign_by_write, final_writer, out=sign, mode="clip")
 
 
 _PLAN_CACHE_SIZE = 1
@@ -212,8 +241,16 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
             f"strict-lossless requires F_s >= p*f_s = {p * source_rate_hz:g} Hz, "
             f"got F_s = {target:g} Hz")
     n_out, band_width = _band_geometry(p, n_samples, source_rate_hz, target, 0)
+    # The source map lives as long as the plan. Allocated before the
+    # temporaries below, it leaves no hole under them (allocated after them,
+    # it cost wide64-complex 2-4 ms per encode and 1-3 ms per decode).
+    n_bins = n_out // 2 + 1
+    source = np.empty(n_bins, dtype=np.intp)
+    sign = np.empty(n_bins, dtype=np.int8)
     assignments = stack_fast(p, n_samples, source_rate_hz, target, np.arange(p)[:, None])
-    collision_count, lossless, first_destructive = _collision_analysis(assignments, n_out)
+    collision_count, lossless, first_destructive, final_writer = _collision_analysis(
+        assignments, n_bins)
+    _source_map(final_writer, n_samples, config.stacking_order, source, sign)
 
     return BandPlan(
         p=p,
@@ -229,6 +266,8 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         rate_feasible=rate_feasible,
         lossless=lossless,
         first_destructive=first_destructive,
+        source=source,
+        sign=sign,
         mode=config.mode,
         stacking_order=config.stacking_order,
     )
@@ -257,8 +296,9 @@ def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:
         raise ValidationError(
             f"spectra have {bins.shape[1]} bins, plan expects {plan.n_samples}")
     _refuse_destructive(plan)
+    # The literal scatter: the last writer of a bin wins.
     out = np.zeros(plan.n_out, dtype=np.complex128)
-    _stack_into(out, bins[list(plan.stacking_order)], plan)
+    out[plan.assignments.ravel()] = bins[list(plan.stacking_order)].ravel()
     return StackedSpectrum(out, plan.target_rate_hz)
 
 
@@ -270,13 +310,3 @@ def _refuse_destructive(plan: BandPlan) -> None:
             f"strict-lossless stacking impossible: channel {plan.stacking_order[b] + 1} "
             f"source bin {j} is overwritten at destination bin {plan.assignments[b][j]} "
             f"(collision_count={plan.collision_count})")
-
-
-def _stack_into(out: np.ndarray, spectra: np.ndarray, plan: BandPlan) -> None:
-    """Scatter band-ordered (p, n) ``spectra`` into the wideband bins ``out``.
-
-    Writes run band-major, source bins ascending, and the last writer of a
-    bin wins. Every assignment is at most n_out//2 (the top band ends at
-    F_s/2), so ``out`` may hold only the lower n_out//2 + 1 bins.
-    """
-    out[plan.assignments.ravel()] = spectra.ravel()

@@ -304,9 +304,18 @@ class BandPlan:
     ``rate_feasible`` is the coarse rate-floor predicate F_s >= p * f_s; it is
     necessary for losslessness but not sufficient (see README).
 
+    Encode's source map covers the n_out//2 + 1 bins that the bands reach
+    (every assignment is at most n_out//2), about 9 bytes per bin:
+      * ``source`` - intp; bin k's value is read from index ``source[k]`` of
+        the channels' rfft bins in channel order, (p, n//2 + 1) flattened,
+        with one zero appended at index p*(n//2 + 1) for the bins that no
+        band writes.
+      * ``sign`` - int8, -1 where the final writer of bin k is a mirror-half
+        source bin j >= n//2 + 1, whose value is conj(rfft[c, n - j]), else +1.
+
     ``mapping.build_band_plan`` memoises plans and hands the same instance to
     every caller with an equal configuration; that is safe only because the
-    dataclass is frozen and both arrays are locked (see ``_as_locked``).
+    dataclass is frozen and every array is locked (see ``_as_locked``).
     """
 
     p: int
@@ -322,12 +331,14 @@ class BandPlan:
     rate_feasible: bool
     lossless: bool
     first_destructive: Optional[tuple[int, int]]
+    source: np.ndarray
+    sign: np.ndarray
     mode: str = MODE_REAL_HERMITIAN
     stacking_order: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "band_offsets_hz", _as_locked(self.band_offsets_hz))
-        object.__setattr__(self, "assignments", _as_locked(self.assignments))
+        for name in ("band_offsets_hz", "assignments", "source", "sign"):
+            object.__setattr__(self, name, _as_locked(getattr(self, name)))
 
     @property
     def dest_grid(self) -> np.ndarray:

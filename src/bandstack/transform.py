@@ -1,9 +1,12 @@
 """End-to-end encode and decode pipelines.
 
-Encode: band plan -> one ``rfft`` of all channels -> stacking -> one
-inverse FFT of the wideband spectrum. The channels are real, so each band's
-full n-bin spectrum is its channel's rfft bins (copied in band order) plus
-their conjugate mirror above n/2. Three modes:
+Encode: band plan -> one ``rfft`` of all channels -> one gather of the
+wideband bins -> one inverse FFT of the wideband spectrum. The channels are
+real, so each band's full n-bin spectrum is its channel's rfft bins plus
+their conjugate mirror above n/2. Later bands overwrite shared bins, and the
+plan has resolved that once: its source map names, for every wideband bin up
+to n_out/2, the rfft bin written there last and whether it is a mirrored
+(conjugated) one. So stacking reads each wideband bin once. Three modes:
 
   * ``paper-complex`` - the stacked n_out-bin spectrum is inverted as-is;
     the output waveform is complex (stored as two planes on disk, not
@@ -37,6 +40,7 @@ Scratch: encode stacks and (in paper-complex) inverts in place in one held
 complex spectrum, and decode transforms into it. Each thread keeps one, of
 n_out bins in paper-complex and n_out//2 + 1 in the real modes, so at most
 16*n_out bytes; it is replaced when n_out or the mode changes its length.
+Stacking allocates only the p*(n//2 + 1) rfft bins beside it.
 Every array that encode or decode returns is fresh and owned by the caller.
 """
 
@@ -49,10 +53,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from bandstack.mapping import _refuse_destructive, _stack_into, build_band_plan
+from bandstack.mapping import _refuse_destructive, build_band_plan
 from bandstack.model import (
     MODE_PAPER_COMPLEX,
     MODE_STRICT_LOSSLESS,
+    BandPlan,
     CollisionWarning,
     DecodeError,
     MultiChannelRecord,
@@ -92,6 +97,28 @@ def _wideband_buffer(n_out: int, complex_mode: bool) -> np.ndarray:
     return buffer
 
 
+def _stack_spectrum(channels: np.ndarray, plan: BandPlan, stacked: np.ndarray) -> None:
+    """Write the stacked wideband spectrum of ``channels`` into ``stacked``.
+
+    One gather through the plan's source map reads every bin from the
+    channel-order rfft bins (and, for bins no band writes, the zero after
+    them); the sign then conjugates the mirror-half bins. Every band lies
+    below F_s/2, so ``stacked`` may hold only the lower n_out//2 + 1 bins;
+    bins above them are zeroed.
+    """
+    p, n = channels.shape
+    h = n // 2 + 1
+    bins = np.empty(p * h + 1, dtype=np.complex128)
+    np.fft.rfft(channels, axis=1, out=bins[:-1].reshape(p, h))
+    bins[-1] = 0
+    lower = stacked[:plan.n_out // 2 + 1]
+    # mode="clip" writes straight into ``lower``; "raise" buffers a copy.
+    np.take(bins, plan.source, out=lower, mode="clip")
+    # Times -1 negates exactly, so this matches np.conjugate bit for bit.
+    np.multiply(lower.imag, plan.sign, out=lower.imag)
+    stacked[lower.shape[0]:] = 0
+
+
 def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSignal:
     """Transform a multichannel record into one wideband waveform."""
     validate_record(record)
@@ -108,26 +135,11 @@ def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSigna
 
     # A finite record can still overflow the FFTs; that only ever makes the
     # peak non-finite, so the peak is the one check.
-    n, n_out = record.n_samples, plan.n_out
+    n_out = plan.n_out
     complex_mode = config.mode == MODE_PAPER_COMPLEX
     with np.errstate(over="ignore", invalid="ignore"):
-        # The channels are real, so each band's n-bin spectrum is its
-        # channel's rfft bins in band order, then their conjugate mirror.
-        # ``spectra`` is allocated before the rfft output so that freeing
-        # the latter leaves no hole below it (the other order raised
-        # wide64-complex peak RSS by 3.7 MB).
-        spectra = np.empty((record.p, n), dtype=np.complex128)
-        half = np.fft.rfft(record.channels, axis=1)
-        h = half.shape[1]
-        np.take(half, plan.stacking_order, axis=0, out=spectra[:, :h], mode="clip")
-        del half
-        np.conjugate(spectra[:, (n + 1) // 2 - 1:0:-1], out=spectra[:, h:])
-        # Every band lies below F_s/2, so the real modes stack straight into
-        # the n_out//2 + 1 bins that irfft reads.
         stacked = _wideband_buffer(n_out, complex_mode)
-        stacked.fill(0)
-        _stack_into(stacked, spectra, plan)
-        del spectra
+        _stack_spectrum(record.channels, plan, stacked)
         if complex_mode:
             samples = np.fft.ifft(stacked, out=stacked)
             peak = float(np.abs(samples).max())

@@ -203,6 +203,38 @@ def test_every_assignment_is_in_the_half_spectrum_irfft_reads():
         assert plan.assignments.max() <= plan.n_out // 2, (p, n, f_s, F_s)
 
 
+def test_collisions_and_source_map_on_the_c2_grid():
+    # The analysis runs over the n_out//2 + 1 bins the assignments reach; the
+    # literal loop over all n_out bins must agree. The source map's sentinel,
+    # the zero after the p*(n//2 + 1) rfft bins, marks exactly the bins that
+    # no band writes, and only written bins can carry the mirror sign.
+    for n in range(2, 33):
+        for n_out in range(2, 65):
+            for p in range(1, 5):
+                plan = _plan(p, n, float(n), float(n_out), order=tuple(range(p))[::-1])
+                got = (plan.collision_count, plan.lossless, plan.first_destructive)
+                assert got == collisions_literal(plan.assignments, n_out), (p, n, n_out)
+                assert plan.source.shape == plan.sign.shape == (n_out // 2 + 1,)
+                assert (plan.source.dtype, plan.sign.dtype) == (np.intp, np.int8)
+                written = np.zeros(n_out // 2 + 1, dtype=bool)
+                written[plan.assignments] = True
+                sentinel = p * (n // 2 + 1)
+                assert np.array_equal(plan.source == sentinel, ~written), (p, n, n_out)
+                assert plan.source.max() <= sentinel
+                assert set(np.unique(plan.sign)) <= {-1, 1}
+                assert (plan.sign[~written] == 1).all()
+
+
+def test_source_map_is_shared_through_the_plan_cache():
+    rec = random_record(np.random.default_rng(2), 3, 17, 25.0)
+    plan = _plan(3, 17, 25.0, 150.0, order=(1, 2, 0))
+    source, sign = plan.source, plan.sign
+    roundtrip_report(rec, TransformConfig(150.0, 3, stacking_order=(1, 2, 0)))
+    again = _plan(3, 17, 25.0, 150.0, order=(1, 2, 0))
+    assert again is plan
+    assert again.source is source and again.sign is sign
+
+
 def test_assignment_monotone_and_band_contained():
     for p, n, f_s, F_s in [(1, 16, 32.0, 64.0), (4, 25, 10.0, 120.0),
                            (3, 40, 250.0, 1000.0), (2, 5, 10.0, 100.0)]:
@@ -294,8 +326,12 @@ def test_cached_plan_is_read_only():
         plan.assignments[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         plan.band_offsets_hz[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        plan.source[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        plan.sign[0] = 1
     # nor can the arrays be unlocked again
-    for array in (plan.assignments, plan.band_offsets_hz):
+    for array in (plan.assignments, plan.band_offsets_hz, plan.source, plan.sign):
         with pytest.raises(ValueError, match="WRITEABLE"):
             array.setflags(write=True)
     with pytest.raises(dataclasses.FrozenInstanceError):

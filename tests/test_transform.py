@@ -23,7 +23,7 @@ from bandstack.model import (
     WidebandSignal,
 )
 from bandstack.spectrum import forward_fft
-from bandstack.transform import decode, encode, roundtrip_report
+from bandstack.transform import _stack_spectrum, decode, encode, roundtrip_report
 from helpers import (
     decode_masked_literal,
     decode_real_plane_literal,
@@ -436,6 +436,52 @@ def test_encode_rejects_a_record_whose_spectrum_overflows(mode):
         warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
         with pytest.raises(ValidationError, match="spectrum overflows float64"):
             encode(rec, _cfg(2, 40.0, mode=mode))
+
+
+# (p, n, f_s, F_s) for the encode gather, mostly with f_s = n so that n_out is
+# F_s: n odd and even; lossless at n_out = 2p(n-1) and 2p(n-1)+1, 4x above it,
+# lossy at p*n and 0.3x; n_out 2 and 3; and both float-tie plans of p=30,
+# n=4, n_out=178, the second of which has a band boundary that is not
+# monotone (band 10's first bin lands below band 9's last).
+_GATHER_SHAPES = sorted({
+    (p, n, float(n), float(n_out))
+    for p, n in ((1, 2), (1, 9), (3, 7), (4, 16), (5, 17), (8, 64))
+    for n_out in (2 * p * (n - 1), 2 * p * (n - 1) + 1, 4 * 2 * p * (n - 1),
+                  4 * 2 * p * (n - 1) + 1, p * n, max(2, int(0.3 * 2 * p * (n - 1))), 2, 3)
+} | {(30, 4, 4.0, 178.0), (30, 4, 250.0, 11125.0)})
+
+
+def test_gather_shapes_cover_lossy_lossless_tiny_both_parities_and_a_tie():
+    plans = [build_band_plan(p, n, f_s, _cfg(p, F_s)) for p, n, f_s, F_s in _GATHER_SHAPES]
+    assert {plan.lossless for plan in plans} == {True, False}
+    assert {(plan.n_samples % 2, plan.n_out % 2) for plan in plans} == {
+        (0, 0), (0, 1), (1, 0), (1, 1)}
+    assert {2, 3} <= {plan.n_out for plan in plans}
+    assert any((np.diff(plan.assignments.ravel()) < 0).any() for plan in plans)
+
+
+@pytest.mark.parametrize("order_kind", ["identity", "reversed", "random"])
+@pytest.mark.parametrize("p,n,f_s,F_s", _GATHER_SHAPES)
+def test_encode_gather_equals_the_literal_scatter_bitwise(p, n, f_s, F_s, order_kind):
+    rng = np.random.default_rng([p, n, int(F_s)])
+    channels = rng.standard_normal((p, n))
+    order = {"identity": tuple(range(p)), "reversed": tuple(range(p))[::-1],
+             "random": tuple(int(c) for c in rng.permutation(p))}[order_kind]
+    half = np.fft.rfft(channels, axis=1)
+    two_sided = np.concatenate([half, np.conj(half[:, n - half.shape[1]:0:-1])], axis=1)
+    plan = build_band_plan(p, n, f_s, _cfg(p, F_s))
+    n_out = plan.n_out
+    want = stack_literal(two_sided[list(order)], plan.assignments, n_out)
+    assert not want[n_out // 2 + 1:].any()
+    for mode in _MODES:
+        try:
+            plan = build_band_plan(p, n, f_s, _cfg(p, F_s, mode, order))
+        except InfeasibleError:  # strict-lossless below the rate floor
+            continue
+        size = n_out if mode == MODE_PAPER_COMPLEX else n_out // 2 + 1
+        got = np.full(size, complex(np.nan, np.nan))  # every bin must be written
+        _stack_spectrum(channels, plan, got)
+        assert got.tobytes() == want[:size].tobytes(), (mode, order)
 
 
 def test_roundtrip_nonintegral_duration_product():
