@@ -2,9 +2,9 @@
 
 Subcommands: encode, decode, verify, spectrogram, synth, info, bench.
 Channel numbering on this surface is 1-based. Exit codes are a stable
-contract: 0 success, 1 I/O failure, 2 validation/format failure (also used
-when `verify` exceeds its error threshold), 3 infeasible strict-lossless
-configuration.
+contract: 0 success, 1 I/O failure or out of memory, 2 validation/format
+failure (also used when `verify` exceeds its error threshold), 3 infeasible
+strict-lossless configuration.
 """
 
 from __future__ import annotations
@@ -201,17 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reversible multichannel-to-single-channel spectral codec.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser("encode", help="stack a multichannel record into one waveform")
+    # the record and configuration flags that encode and verify share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--rate", type=float, default=None,
+                        help="source sample rate in Hz (CSV without a rate comment)")
+    shared.add_argument("--target-rate", type=float, required=True,
+                        help="wideband sample rate F_s in Hz")
+    shared.add_argument("--mode", choices=MODES, default=MODE_REAL_HERMITIAN)
+    shared.add_argument("--order", default="identity",
+                        help="'identity', 'reverse', or a 1-based permutation like 3,1,2")
+    shared.add_argument("--input-format", choices=bio.RECORD_FORMATS, default=None)
+
+    enc = sub.add_parser("encode", parents=[shared],
+                         help="stack a multichannel record into one waveform")
     enc.add_argument("input")
     enc.add_argument("output")
-    enc.add_argument("--rate", type=float, default=None,
-                     help="source sample rate in Hz (CSV without a rate comment)")
-    enc.add_argument("--target-rate", type=float, required=True,
-                     help="wideband sample rate F_s in Hz")
-    enc.add_argument("--mode", choices=MODES, default=MODE_REAL_HERMITIAN)
-    enc.add_argument("--order", default="identity",
-                     help="'identity', 'reverse', or a 1-based permutation like 3,1,2")
-    enc.add_argument("--input-format", choices=bio.RECORD_FORMATS, default=None)
     enc.add_argument("--wideband-format", choices=bio.WIDEBAND_FORMATS, default=None)
     enc.set_defaults(func=cmd_encode)
 
@@ -223,16 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--output-format", choices=bio.RECORD_FORMATS, default=None)
     dec.set_defaults(func=cmd_decode)
 
-    ver = sub.add_parser("verify", help="measure encode->decode fidelity of a record")
+    ver = sub.add_parser("verify", parents=[shared],
+                         help="measure encode->decode fidelity of a record")
     ver.add_argument("input")
-    ver.add_argument("--rate", type=float, default=None)
-    ver.add_argument("--target-rate", type=float, required=True)
-    ver.add_argument("--mode", choices=MODES, default=MODE_REAL_HERMITIAN)
-    ver.add_argument("--order", default="identity")
     ver.add_argument("--threshold", type=float, default=1e-9,
                      help="relative max-abs error below which exit code is 0")
     ver.add_argument("--json", action="store_true")
-    ver.add_argument("--input-format", choices=bio.RECORD_FORMATS, default=None)
     ver.set_defaults(func=cmd_verify)
 
     spec = sub.add_parser("spectrogram", help="magnitude STFT of a wideband file")
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except (ValidationError, FormatError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from bandstack.model import MultiChannelRecord, ValidationError, WidebandSignal, validate_record
+from bandstack.model import (
+    MultiChannelRecord,
+    ValidationError,
+    WidebandSignal,
+    source_frequencies,
+    validate_record,
+)
 
 # name -> (low_hz, high_hz), half-open [low, high)
 EEG_BANDS = {
@@ -106,8 +112,7 @@ def band_energies(record: MultiChannelRecord) -> list[dict[str, float]]:
     """
     validate_record(record)
     nyquist = record.sample_rate_hz / 2.0
-    n = record.n_samples
-    freqs = np.arange(n) * (record.sample_rate_hz / (n - 1))
+    freqs = source_frequencies(record.n_samples, record.sample_rate_hz)
     ranges = {name: np.searchsorted(freqs, (lo, min(hi, nyquist)))
               for name, (lo, hi) in EEG_BANDS.items() if lo < nyquist}
     top = max((b for _, b in ranges.values()), default=0)

@@ -38,7 +38,8 @@ channel's *informative* bins (the lower spectral half; the rest is conjugate
 redundancy for real channels) get clobbered; the plan computes that exactly,
 over the n_out//2 + 1 bins the bands reach, and reports it as ``lossless``,
 alongside the coarse rate-floor predicate F_s >= p * f_s (necessary, not
-sufficient).
+sufficient). In strict-lossless mode ``build_band_plan`` refuses a
+configuration that fails either, so no lossy strict plan exists.
 """
 
 from __future__ import annotations
@@ -61,17 +62,11 @@ from bandstack.model import (
     check_rate,
     destination_grid,
     output_length,
+    source_frequencies,
 )
 
 _MAX_N_OUT = 2**48  # keeps the float rounding of stack_fast below half a bin
 _TINY = np.finfo(np.float64).tiny
-
-
-def source_frequencies(n_samples: int, source_rate_hz: float) -> np.ndarray:
-    """Inclusive source grid: k * f_s/(n-1) for k = 0..n-1, spanning 0..f_s."""
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
-    return np.arange(n_samples, dtype=np.float64) * (source_rate_hz / (n_samples - 1))
 
 
 def stretched_frequencies(n_samples: int, source_rate_hz: float,
@@ -216,9 +211,10 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
                     config: TransformConfig) -> BandPlan:
     """Compute the full mapping for one configuration (fast path throughout).
 
-    In strict-lossless mode configurations below the rate floor
-    F_s >= p * f_s are refused outright; actual collision damage is enforced
-    later, at stacking time.
+    Strict-lossless mode is enforced here and nowhere else: a configuration
+    below the rate floor F_s >= p * f_s raises InfeasibleError, and one whose
+    stacking destroys channel content raises CollisionError, so every
+    strict plan that exists is lossless.
 
     Plans are memoised on (p, n, f_s, config) in a cache of one entry, so
     repeated calls with one configuration return the same read-only plan
@@ -250,6 +246,12 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     assignments = stack_fast(p, n_samples, source_rate_hz, target, np.arange(p)[:, None])
     collision_count, lossless, first_destructive, final_writer = _collision_analysis(
         assignments, n_bins)
+    if config.mode == MODE_STRICT_LOSSLESS and not lossless:
+        b, j = first_destructive
+        raise CollisionError(
+            f"strict-lossless stacking impossible: channel {config.stacking_order[b] + 1} "
+            f"source bin {j} is overwritten at destination bin {assignments[b, j]} "
+            f"(collision_count={collision_count})")
     _source_map(final_writer, n_samples, config.stacking_order, source, sign)
 
     return BandPlan(
@@ -280,8 +282,6 @@ def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:
     sequence of p ChannelSpectrum. Bands are filled bottom-up; within a band,
     source bins ascend; later writes overwrite earlier ones.
     ``plan.stacking_order[b]`` picks which channel occupies band b.
-    Strict-lossless mode refuses any plan whose collisions would destroy
-    channel content.
     """
     try:
         rows = spectra if isinstance(spectra, np.ndarray) else [s.bins for s in spectra]
@@ -295,18 +295,8 @@ def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:
     if bins.shape[1] != plan.n_samples:
         raise ValidationError(
             f"spectra have {bins.shape[1]} bins, plan expects {plan.n_samples}")
-    _refuse_destructive(plan)
     # The literal scatter: the last writer of a bin wins.
     out = np.zeros(plan.n_out, dtype=np.complex128)
     out[plan.assignments.ravel()] = bins[list(plan.stacking_order)].ravel()
     return StackedSpectrum(out, plan.target_rate_hz)
 
-
-def _refuse_destructive(plan: BandPlan) -> None:
-    """Strict-lossless mode refuses a plan whose collisions destroy content."""
-    if plan.mode == MODE_STRICT_LOSSLESS and not plan.lossless:
-        b, j = plan.first_destructive
-        raise CollisionError(
-            f"strict-lossless stacking impossible: channel {plan.stacking_order[b] + 1} "
-            f"source bin {j} is overwritten at destination bin {plan.assignments[b][j]} "
-            f"(collision_count={plan.collision_count})")

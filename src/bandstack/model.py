@@ -44,8 +44,9 @@ class InfeasibleError(BandstackError):
 
 
 class CollisionError(InfeasibleError):
-    """Strict-lossless stacking hit a destination-bin collision that would
-    destroy channel content."""
+    """Strict-lossless mode was requested for a configuration whose stacking
+    overwrites channel content at a destination-bin collision; raised when
+    its plan is built."""
 
 
 class DecodeError(BandstackError):
@@ -118,6 +119,13 @@ def destination_grid(n_out: int, target_rate_hz: float) -> np.ndarray:
     if n_out < 2:
         raise ValidationError(f"destination grid needs >= 2 points, got {n_out}")
     return np.linspace(0.0, target_rate_hz, n_out)
+
+
+def source_frequencies(n_samples: int, source_rate_hz: float) -> np.ndarray:
+    """Inclusive source grid: k * f_s/(n-1) for k = 0..n-1, spanning 0..f_s."""
+    if n_samples < 2:
+        raise ValidationError("need at least 2 samples")
+    return np.arange(n_samples, dtype=np.float64) * (source_rate_hz / (n_samples - 1))
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from bandstack.mapping import _band_geometry
@@ -134,8 +134,8 @@ class SidecarHeader:
     stacking_order: tuple[int, ...]
     scale: float
     collision_count: int
-    channel_names: Optional[tuple[str, ...]] = None
     data_format: str = "raw-f64"
+    channel_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         for name in ("source_rate_hz", "target_rate_hz"):
@@ -165,35 +165,19 @@ class SidecarHeader:
         return exact - self.n_out
 
     def to_json(self) -> str:
-        return sidecar_text("wideband", {
-            "p": self.p,
-            "n_samples": self.n_samples,
-            "source_rate_hz": self.source_rate_hz,
-            "target_rate_hz": self.target_rate_hz,
-            "mode": self.mode,
-            "stacking_order": [i + 1 for i in self.stacking_order],
-            "scale": self.scale,
-            "collision_count": self.collision_count,
-            "data_format": self.data_format,
-            "channel_names": None if self.channel_names is None else list(self.channel_names),
-        })
+        fields = asdict(self)
+        fields["stacking_order"] = [i + 1 for i in self.stacking_order]
+        return sidecar_text("wideband", fields)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SidecarHeader":
         """Header from a payload that read_sidecar accepted as kind wideband."""
-        names = payload.get("channel_names")
+        fields = {k: v for k, v in payload.items() if k not in ("format_version", "kind")}
+        fields["stacking_order"] = tuple(i - 1 for i in fields["stacking_order"])
+        fields["scale"] = float(fields["scale"])
+        if "channel_names" in fields:
+            fields["channel_names"] = tuple(fields["channel_names"])
         try:
-            return cls(
-                p=payload["p"],
-                n_samples=payload["n_samples"],
-                source_rate_hz=payload["source_rate_hz"],
-                target_rate_hz=payload["target_rate_hz"],
-                mode=payload["mode"],
-                stacking_order=tuple(i - 1 for i in payload["stacking_order"]),
-                scale=float(payload["scale"]),
-                collision_count=payload["collision_count"],
-                channel_names=tuple(names) if names is not None else None,
-                data_format=payload["data_format"],
-            )
+            return cls(**fields)
         except ValidationError as exc:
             raise FormatError(f"inconsistent wideband sidecar: {exc}") from exc

@@ -7,9 +7,11 @@ are 1 and no wrapper scaling is needed. Arbitrary lengths are supported
 exactly; nothing here ever zero-pads.
 
 encode and decode transform all channels in one batched numpy call per
-direction: encode takes one ``rfft`` of the real channels and mirrors it,
-decode one ``rfft`` (real modes) or ``fft`` (paper-complex) of the waveform,
-and both invert the real modes with ``irfft``. ``forward_fft`` and
+direction: encode takes one ``rfft`` of the real channels and gathers the
+wideband bins from it (conjugating the mirrored ones), decode one ``rfft``
+of the waveform's real plane in every mode (paper-complex adds two edge
+sums); encode inverts with ``irfft`` (``ifft`` in paper-complex) and
+decode's channels come back through one ``irfft``. ``forward_fft`` and
 ``hermitian_extend`` are the one-channel reference path: the tests and the
 benchmark's replay check (perfbench/workloads.py) compare encode and decode
 against it.

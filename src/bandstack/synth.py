@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from bandstack.features import EEG_BANDS
-from bandstack.model import MultiChannelRecord, ValidationError, check_counts, check_rate
+from bandstack.model import (
+    MultiChannelRecord,
+    ValidationError,
+    check_counts,
+    check_rate,
+    source_frequencies,
+)
 
 
 def make_tones(p: int, n_samples: int, sample_rate_hz: float,
@@ -72,7 +78,7 @@ def make_bandnoise(p: int, n_samples: int, sample_rate_hz: float,
     hi_eff = min(hi, nyquist)
 
     n = n_samples
-    freqs = np.arange(n) * (sample_rate_hz / (n - 1))
+    freqs = source_frequencies(n, sample_rate_hz)
     keep = (freqs >= lo) & (freqs < hi_eff)
     mask = keep.copy()
     mirror = (n - np.nonzero(keep)[0]) % n

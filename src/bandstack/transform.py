@@ -18,7 +18,9 @@ to n_out/2, the rfft bin written there last and whether it is a mirrored
     and equals the real part of the paper-complex output. This is the
     audio-export mode.
   * ``strict-lossless`` - real output like real-hermitian, but refuses any
-    configuration whose stacking would destroy channel content.
+    configuration whose stacking would destroy channel content. The refusal
+    comes from building the plan, so encode, decode and roundtrip_report
+    raise it before any transform, and a strict plan is always lossless.
 
 Decode transforms the waveform once, with one ``rfft`` of its real plane
 (the gathers never read above bin n_out/2), and doubles that wideband
@@ -53,10 +55,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from bandstack.mapping import _refuse_destructive, build_band_plan
+from bandstack.mapping import build_band_plan
 from bandstack.model import (
     MODE_PAPER_COMPLEX,
-    MODE_STRICT_LOSSLESS,
     BandPlan,
     CollisionWarning,
     DecodeError,
@@ -123,15 +124,13 @@ def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSigna
     """Transform a multichannel record into one wideband waveform."""
     validate_record(record)
     plan = build_band_plan(record.p, record.n_samples, record.sample_rate_hz, config)
-    if not plan.lossless and config.mode != MODE_STRICT_LOSSLESS:
+    if not plan.lossless:
         warnings.warn(
             f"{plan.collision_count} destination bins are written more than once and "
             f"channel content is destroyed; reconstruction will be lossy "
             f"(rate floor F_s >= p*f_s is "
             f"{'met but not sufficient here' if plan.rate_feasible else 'violated'})",
             CollisionWarning, stacklevel=2)
-
-    _refuse_destructive(plan)
 
     # A finite record can still overflow the FFTs; that only ever makes the
     # peak non-finite, so the peak is the one check.
@@ -183,7 +182,6 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
         raise DecodeError(
             f"provenance says collision_count={prov.collision_count} but its "
             f"configuration gives {plan.collision_count}")
-    _refuse_destructive(plan)
     if signal.is_complex != (prov.mode == MODE_PAPER_COMPLEX):
         kind = "complex" if signal.is_complex else "real"
         raise DecodeError(f"{kind} samples with mode {prov.mode!r}: mode mismatch")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bandstack import cli
 from bandstack import io as bio
 from bandstack.cli import main
 from bandstack.features import band_energies
@@ -344,8 +345,7 @@ def test_malformed_flags_end_in_an_exit_code(tmp_path, record_csv, capsys, argv)
     assert not list(tmp_path.glob("out.*"))
 
 
-def test_decode_refuses_lossy_sidecar_labelled_strict(tmp_path, capsys):
-    # F_s = p*f_s meets the rate floor, but this plan is lossy
+def _forge_strict_sidecar(tmp_path, capsys, **changes):
     rec = MultiChannelRecord(np.random.default_rng(2).standard_normal((2, 16)), 8.0)
     raw = tmp_path / "in.f64"
     bio.write_multichannel(rec, raw)
@@ -354,16 +354,41 @@ def test_decode_refuses_lossy_sidecar_labelled_strict(tmp_path, capsys):
     assert "exact inversion: no" in capsys.readouterr().out
     sidecar = tmp_path / "w.wav.sidecar"
     payload = json.loads(sidecar.read_text())
-    payload["mode"] = "strict-lossless"
+    payload.update(mode="strict-lossless", **changes)
     sidecar.write_text(json.dumps(payload))
+    return wav
+
+
+def test_decode_refuses_lossy_sidecar_labelled_strict(tmp_path, capsys):
+    # F_s = p*f_s meets the rate floor, but this plan is lossy
+    wav = _forge_strict_sidecar(tmp_path, capsys)
     assert main(["decode", str(wav), str(tmp_path / "back.csv")]) == 3
     assert "strict-lossless" in capsys.readouterr().err
+
+
+def test_strict_refusal_comes_before_the_collision_count_check(tmp_path, capsys):
+    # the plan refuses the strict label before decode compares collision_count
+    wav = _forge_strict_sidecar(tmp_path, capsys, collision_count=999)
+    assert main(["decode", str(wav), str(tmp_path / "back.csv")]) == 3
+    assert "strict-lossless stacking impossible" in capsys.readouterr().err
 
 
 def test_missing_input_is_io_error(tmp_path, capsys):
     rc = main(["encode", str(tmp_path / "ghost.csv"), str(tmp_path / "o.wav"),
                "--target-rate", "100"])
     assert rc == 1
+
+
+def test_out_of_memory_is_an_io_error(tmp_path, record_csv, capsys, monkeypatch):
+    def encode(record, config):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "encode", encode)
+    csv_path, _ = record_csv
+    rc = main(["encode", str(csv_path), str(tmp_path / "o.wav"), "--target-rate", "192"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_encode_non_utf8_csv_is_validation_error(tmp_path, capsys):

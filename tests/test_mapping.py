@@ -25,7 +25,6 @@ from bandstack.model import (
     ValidationError,
     output_length,
 )
-from bandstack.spectrum import forward_fft
 from bandstack.transform import roundtrip_report
 from helpers import collisions_literal, nearest_search_literal, random_record, stack_literal
 
@@ -284,6 +283,9 @@ def test_strict_refusal_is_not_cached():
     for _ in range(2):
         with pytest.raises(InfeasibleError, match=r"F_s >= p\*f_s = 40"):
             _plan(4, 100, 10.0, 39.0, mode="strict-lossless")
+    for _ in range(2):
+        with pytest.raises(CollisionError, match="channel 1 source bin 1"):
+            _plan(2, 2, 4.0, 16.0, mode="strict-lossless")
 
 
 def test_plan_cache_shares_equal_configurations():
@@ -447,12 +449,10 @@ def test_stacking_order_permutes_band_occupants():
 def test_strict_mode_refuses_destructive_collisions():
     # rate floor met, but n=2 makes each channel's self-mirror Nyquist bin
     # informative, and the band boundary clobbers it
-    plan = _plan(2, 2, 4.0, 16.0, mode="strict-lossless")
+    plan = _plan(2, 2, 4.0, 16.0)
     assert plan.rate_feasible and not plan.lossless
-    spectra = [forward_fft(np.array([1.0, 2.0]), 4.0),
-               forward_fft(np.array([3.0, 4.0]), 4.0)]
     with pytest.raises(CollisionError, match="channel 1"):
-        apply_stacking(spectra, plan)
+        _plan(2, 2, 4.0, 16.0, mode="strict-lossless")
 
 
 def test_spectra_shape_validation():

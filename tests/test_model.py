@@ -17,7 +17,7 @@ from bandstack.model import (
     output_length,
     validate_record,
 )
-from bandstack.sidecar import SidecarHeader
+from bandstack.sidecar import SidecarHeader, read_sidecar
 from bandstack.synth import make_bandnoise, make_tones
 
 
@@ -157,6 +157,23 @@ def test_sidecar_header_invariants(field, value):
     SidecarHeader(**good)
     with pytest.raises(ValidationError, match=field):
         SidecarHeader(**{**good, field: value})
+
+
+@pytest.mark.parametrize("names, tail", [
+    (None, ''),
+    (("Fz", "C\u00e9"), ',\n  "channel_names": [\n    "Fz",\n    "C\\u00e9"\n  ]'),
+])
+def test_sidecar_header_json_is_pinned_and_round_trips(names, tail):
+    header = SidecarHeader(p=2, n_samples=4, source_rate_hz=4.0, target_rate_hz=16.0,
+                           mode="real-hermitian", stacking_order=(1, 0), scale=0.5,
+                           collision_count=1, data_format="wav-f32", channel_names=names)
+    text = header.to_json()
+    assert text == (
+        '{\n  "format_version": 1,\n  "kind": "wideband",\n  "p": 2,\n  "n_samples": 4,'
+        '\n  "source_rate_hz": 4.0,\n  "target_rate_hz": 16.0,\n  "mode": "real-hermitian",'
+        '\n  "stacking_order": [\n    2,\n    1\n  ],\n  "scale": 0.5,'
+        '\n  "collision_count": 1,\n  "data_format": "wav-f32"' + tail + '\n}\n')
+    assert SidecarHeader.from_payload(read_sidecar(text, "wideband")) == header
 
 
 def test_wideband_signal_checks_provenance_length():
