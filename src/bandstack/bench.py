@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from bandstack.mapping import _band_geometry, stack_fast, stack_oracle
-from bandstack.model import ValidationError
+from bandstack.mapping import stack_fast, stack_oracle
+from bandstack.model import ValidationError, check_geometry
 
 
 @dataclass
@@ -60,13 +60,12 @@ def run_mapping_benchmark(p: int = 30, n_samples: int = 10000,
     """Time both mapping algorithms over the same band set.
 
     ``bands`` restricts which bands are computed (default: all p); an empty
-    band set is refused.
+    band set is refused, and a band outside 0..p-1 by the first fast run.
     """
+    n_out = check_geometry(p, n_samples, source_rate_hz, target_rate_hz)
     bands = tuple(range(p)) if bands is None else tuple(int(b) for b in bands)
     if not bands:
         raise ValidationError("the benchmark needs at least one band")
-    n_out, _ = _band_geometry(p, n_samples, source_rate_hz, target_rate_hz,
-                              np.array(bands)[:, None])
 
     report = BenchReport(p=p, n_samples=n_samples, source_rate_hz=source_rate_hz,
                          target_rate_hz=target_rate_hz, n_out=n_out, bands=bands)

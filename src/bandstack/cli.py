@@ -44,11 +44,10 @@ def _parse_order(spec: str, p: int):
     if spec == "reverse":
         return tuple(reversed(range(p)))
     try:
-        order = tuple(int(tok) - 1 for tok in spec.split(","))
+        return tuple(int(tok) - 1 for tok in spec.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad --order {spec!r}: expected 'identity', 'reverse' or a "
                               f"comma-separated 1-based permutation") from exc
-    return order
 
 
 def _record_and_config(args):
@@ -156,7 +155,7 @@ def _parse_tones(spec: str, p: int):
 def cmd_synth(args) -> int:
     if (args.band is None) == (args.tones is None):
         raise ValidationError("pass exactly one of --band or --tones")
-    if args.band:
+    if args.band is not None:
         noise = make_bandnoise(args.channels, args.samples, args.rate,
                                args.band, seed=args.seed)
         record = noise.record

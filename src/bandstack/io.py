@@ -434,15 +434,16 @@ def write_wideband(signal: WidebandSignal, path, format: Optional[str] = None) -
     """
     fmt = _resolve_format(path, format, "wideband")
     samples = signal.samples
+    if fmt == "wav-f32" and signal.is_complex:
+        raise ValidationError(
+            "complex-mode signal cannot be exported as WAV (not playable); use raw-f64")
+    sidecar = replace(signal.provenance, data_format=fmt).to_json()  # checked before any write
     if fmt == "raw-f64":
         _write_raw(path, np.stack([samples.real, samples.imag]) if signal.is_complex
                    else samples)
-    elif signal.is_complex:
-        raise ValidationError(
-            "complex-mode signal cannot be exported as WAV (not playable); use raw-f64")
     else:
         write_wav_f32(path, samples, signal.rate_hz)
-    _write_sidecar(path, replace(signal.provenance, data_format=fmt).to_json())
+    _write_sidecar(path, sidecar)
 
 
 def read_wideband(path) -> WidebandSignal:
@@ -452,13 +453,11 @@ def read_wideband(path) -> WidebandSignal:
     n_out = header.n_out
     if header.data_format == "raw-f64":
         if header.mode == MODE_PAPER_COMPLEX:
-            real, imag = _read_raw(path, (2, n_out))
-            samples = real + 1j * imag
+            samples = np.empty(n_out, dtype=np.complex128)  # keeps -0.0 in both planes
+            samples.real, samples.imag = _read_raw(path, (2, n_out))
         else:
             samples = _read_raw(path, (n_out,))
         return WidebandSignal(samples, header.target_rate_hz, header)
-    if header.mode == MODE_PAPER_COMPLEX:
-        raise FormatError(f"{path}: paper-complex signals cannot live in WAV")
     rate, samples = read_wav_f32(path)
     if rate != int(round(header.target_rate_hz)):
         raise FormatError(f"{path}: WAV rate {rate} disagrees with sidecar "

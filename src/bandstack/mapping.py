@@ -9,7 +9,7 @@ assigned to the nearest destination bin of linspace(0, F_s, n_out). Exactly,
 that bin is the integer quotient round_half_up(m (n_out-1) / (2p(n-1))) with
 m = b(n-1) + k; ties go to the larger bin unless float rounding decides.
 
-Two per-band assignment paths, both checked by ``_band_geometry``:
+Two per-band assignment paths, both checked by ``model.check_geometry``:
 
   * ``stack_oracle`` - scans all n_out float grid points per float
     stretched frequency, O(n * n_out). Kept as the behavioral reference.
@@ -35,8 +35,9 @@ Collisions: adjacent bands share their boundary frequency because the source
 grid spans 0..f_s inclusive, so for p >= 2 some destination bins are always
 written twice (later band wins). What decides invertibility is whether any
 channel's *informative* bins (the lower spectral half; the rest is conjugate
-redundancy for real channels) get clobbered; the plan computes that exactly,
-over the n_out//2 + 1 bins the bands reach, and reports it as ``lossless``,
+redundancy for real channels) get clobbered; one replay of the writes over
+the n_out//2 + 1 bins the bands reach computes that exactly, with the source
+map, and the plan reports it as ``lossless``,
 alongside the coarse rate-floor predicate F_s >= p * f_s (necessary, not
 sufficient). In strict-lossless mode ``build_band_plan`` refuses a
 configuration that fails either, so no lossy strict plan exists.
@@ -44,7 +45,6 @@ configuration that fails either, so no lossy strict plan exists.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -59,14 +59,11 @@ from bandstack.model import (
     TransformConfig,
     ValidationError,
     check_counts,
+    check_geometry,
     check_rate,
     destination_grid,
-    output_length,
     source_frequencies,
 )
-
-_MAX_N_OUT = 2**48  # keeps the float rounding of stack_fast below half a bin
-_TINY = np.finfo(np.float64).tiny
 
 
 def stretched_frequencies(n_samples: int, source_rate_hz: float,
@@ -81,29 +78,14 @@ def stretched_frequencies(n_samples: int, source_rate_hz: float,
 
 
 def _band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index):
-    """Check a configuration for one band or a (k, 1) column of bands and
-    return n_out and the band width. Refuses what would overflow the int64
-    arithmetic of ``stack_fast`` or void its float error bound."""
-    p, n_samples = check_counts(p, n_samples)
-    source_rate_hz = check_rate("source rate", source_rate_hz)
-    target_rate_hz = check_rate("target rate", target_rate_hz)
-    try:
-        n_out = output_length(n_samples, source_rate_hz, target_rate_hz)
-    except OverflowError:  # T * F_s is infinite
-        n_out = math.inf
-    if not 2 <= n_out <= _MAX_N_OUT:
-        raise ValidationError(f"output length {n_out:.6g} is outside 2..{_MAX_N_OUT}")
-    den = 2 * p * (n_samples - 1)
-    if den * n_out > np.iinfo(np.int64).max:
-        raise ValidationError(f"index arithmetic overflows int64: 2p(n-1)*n_out = {den * n_out}")
-    if min(source_rate_hz / (n_samples - 1), target_rate_hz / max(den, n_out)) < _TINY:
-        raise ValidationError(f"rates {source_rate_hz!r} and {target_rate_hz!r} Hz "
-                              f"give grid steps below the normal float range")
+    """n_out and the band width of a configuration ``check_geometry``
+    accepts, for one integer band index in 0..p-1 or a (k, 1) column of them."""
+    n_out = check_geometry(p, n_samples, source_rate_hz, target_rate_hz)
     bands = np.asarray(band_index)
-    outside = (bands < 0) | (bands >= p)
-    if outside.any():
-        raise ValidationError(f"band index {bands[outside][0]} out of range for p={p}")
-    return n_out, target_rate_hz / (2 * p)
+    bad = bands if bands.dtype.kind not in "iu" else bands[(bands < 0) | (bands >= p)]
+    if bad.size:
+        raise ValidationError(f"band index {bad.flat[0]} is not an integer in 0..{p - 1}")
+    return n_out, float(target_rate_hz) / (2 * p)
 
 
 def stack_oracle(p: int, n_samples: int, source_rate_hz: float,
@@ -133,9 +115,9 @@ def stack_fast(p: int, n_samples: int, source_rate_hz: float,
     < (2j+1) 2**-49 <= (n_out+1) 2**-49. Bins farther from a midpoint thus
     get q from both rules. The rest, min(r, 2 den - r) <= den (n_out+1)
     2**-48 (twice the bound), are the exact ties (r = 0) and, once den *
-    n_out reaches 2**48, a few near-ties: as n_out <= 2**48 keeps |E| under
-    a quarter bin, the scan's comparison of the two bins around their
-    midpoint decides them.
+    n_out reaches 2**48, a few near-ties: as n_out <= 2**48 (enforced by
+    ``model.check_geometry``) keeps |E| under a quarter bin, the scan's
+    comparison of the two bins around their midpoint decides them.
     """
     n_out, band_width = _band_geometry(p, n_samples, source_rate_hz,
                                        target_rate_hz, band_index)
@@ -158,41 +140,33 @@ def stack_fast(p: int, n_samples: int, source_rate_hz: float,
     return q
 
 
-def _collision_analysis(assignments, n_bins):
-    """Count multiply-written bins and check the informative half survives.
+def _replay_writes(assignments, stacking_order, source, sign):
+    """Replay the writes once: return (collision_count, first_destructive)
+    and fill encode's gather map ``source`` and ``sign``.
 
-    Every assignment is below ``n_bins`` = n_out//2 + 1. Writes happen
-    band-major, source-bin ascending; numpy fancy assignment reproduces that
-    overwrite order. A plan is lossless iff every (band, j <= n//2) write is
-    the final writer of its destination bin. Also returns each bin's final
-    writer as the write index b*n + j, or p*n where nothing writes.
-    """
-    p, n = assignments.shape
-    flat = assignments.ravel()
-    collision_count = int((np.bincount(flat, minlength=n_bins) > 1).sum())
-
-    writes = np.arange(p * n)
-    final_writer = np.full(n_bins, p * n)
-    final_writer[flat] = writes
-    low = n // 2 + 1
-    survives = final_writer[assignments[:, :low]] == writes.reshape(p, n)[:, :low]
-    if survives.all():
-        return collision_count, True, None, final_writer
-    b, j = np.argwhere(~survives)[0]
-    return collision_count, False, (int(b), int(j)), final_writer
-
-
-def _source_map(final_writer, n, stacking_order, source, sign):
-    """Fill encode's gather map ``source`` and ``sign`` from each bin's
-    final writer.
+    Writes happen band-major, source-bin ascending, all below len(source) =
+    n_out//2 + 1; numpy fancy assignment reproduces that overwrite order and
+    leaves each bin's final writer, the write index b*n + j or p*n where
+    nothing writes. A plan is lossless iff every (band, j < h = n//2 + 1)
+    write is the final writer of its destination bin.
 
     Write b*n + j puts channel c = stacking_order[b]'s bin j in place, which
-    for j >= h = n//2 + 1 is conj(rfft[c, n - j]); its source is c*h + j or
-    c*h + (n - j) in the flattened channel-order rfft. Both maps are tables
-    over the p*n writes, gathered at the final writers; the unwritten marker
-    p*n indexes one more entry, the zero after the p*h rfft bins.
+    for j >= h is conj(rfft[c, n - j]); its source is c*h + j or c*h + (n - j)
+    in the flattened channel-order rfft. Both maps are tables over the p*n
+    writes, gathered at the final writers; the unwritten marker p*n indexes
+    one more entry, the zero after the p*h rfft bins.
     """
-    p, h = len(stacking_order), n // 2 + 1
+    p, n = assignments.shape
+    h = n // 2 + 1
+    flat = assignments.ravel()
+    collision_count = int((np.bincount(flat, minlength=len(source)) > 1).sum())
+    writes = np.arange(p * n)
+    final_writer = np.full(len(source), p * n)
+    final_writer[flat] = writes
+    lost = final_writer[assignments[:, :h]] != writes.reshape(p, n)[:, :h]
+    first_destructive = tuple(map(int, np.argwhere(lost)[0])) if lost.any() else None
+    del writes, lost  # freed before the tables below are allocated
+
     rfft_bin = np.arange(n)
     rfft_bin[h:] = n - rfft_bin[h:]
     by_write = np.empty(p * n + 1, dtype=np.intp)
@@ -202,6 +176,7 @@ def _source_map(final_writer, n, stacking_order, source, sign):
     sign_by_write = np.ones(p * n + 1, dtype=np.int8)
     sign_by_write[:-1].reshape(p, n)[:, h:] = -1
     np.take(sign_by_write, final_writer, out=sign, mode="clip")
+    return collision_count, first_destructive
 
 
 _PLAN_CACHE_SIZE = 1
@@ -236,7 +211,8 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         raise InfeasibleError(
             f"strict-lossless requires F_s >= p*f_s = {p * source_rate_hz:g} Hz, "
             f"got F_s = {target:g} Hz")
-    n_out, band_width = _band_geometry(p, n_samples, source_rate_hz, target, 0)
+    n_out = check_geometry(p, n_samples, source_rate_hz, target)
+    band_width = target / (2 * p)
     # The source map lives as long as the plan. Allocated before the
     # temporaries below, it leaves no hole under them (allocated after them,
     # it cost wide64-complex 2-4 ms per encode and 1-3 ms per decode).
@@ -244,15 +220,14 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     source = np.empty(n_bins, dtype=np.intp)
     sign = np.empty(n_bins, dtype=np.int8)
     assignments = stack_fast(p, n_samples, source_rate_hz, target, np.arange(p)[:, None])
-    collision_count, lossless, first_destructive, final_writer = _collision_analysis(
-        assignments, n_bins)
-    if config.mode == MODE_STRICT_LOSSLESS and not lossless:
+    collision_count, first_destructive = _replay_writes(
+        assignments, config.stacking_order, source, sign)
+    if config.mode == MODE_STRICT_LOSSLESS and first_destructive is not None:
         b, j = first_destructive
         raise CollisionError(
             f"strict-lossless stacking impossible: channel {config.stacking_order[b] + 1} "
             f"source bin {j} is overwritten at destination bin {assignments[b, j]} "
             f"(collision_count={collision_count})")
-    _source_map(final_writer, n_samples, config.stacking_order, source, sign)
 
     return BandPlan(
         p=p,
@@ -266,7 +241,6 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         assignments=assignments,
         collision_count=collision_count,
         rate_feasible=rate_feasible,
-        lossless=lossless,
         first_destructive=first_destructive,
         source=source,
         sign=sign,

@@ -4,8 +4,8 @@ Everything downstream (mapping, transform, io, features) speaks in terms of
 these containers. All of them are immutable, so they can be shared freely
 across threads, and all but BandPlan (built by mapping.build_band_plan) check
 their fields on construction. Each configuration field has one checker here
-(``check_rate``, ``check_counts``, ``check_mode``, ``check_order``), which
-every type and function that takes the field calls.
+(``check_rate``, ``check_counts``, ``check_mode``, ``check_order``, and for a
+whole configuration ``check_geometry``), which every caller that takes it calls.
 
 Conventions: channel and band indices are 0-based everywhere in this library;
 the CLI and file sidecars use 1-based channel numbering and say so.
@@ -102,6 +102,28 @@ def check_order(order, p: int) -> tuple[int, ...]:
     return entries
 
 
+_MAX_N_OUT = 2**48  # keeps the float rounding of mapping.stack_fast below half a bin
+_TINY = np.finfo(np.float64).tiny
+
+
+def check_geometry(p, n_samples, source_rate_hz, target_rate_hz) -> int:
+    """n_out of a configuration whose band plan is exact: checked counts and
+    rates, 2 <= n_out <= 2**48, 2p(n-1)*n_out in int64, normal grid steps."""
+    p, n_samples = check_counts(p, n_samples)
+    source_rate_hz = check_rate("source rate", source_rate_hz)
+    target_rate_hz = check_rate("target rate", target_rate_hz)
+    n_out = output_length(n_samples, source_rate_hz, target_rate_hz)
+    if not 2 <= n_out <= _MAX_N_OUT:
+        raise ValidationError(f"output length {n_out:.6g} is outside 2..{_MAX_N_OUT}")
+    den = 2 * p * (n_samples - 1)
+    if den * n_out > np.iinfo(np.int64).max:
+        raise ValidationError(f"index arithmetic overflows int64: 2p(n-1)*n_out = {den * n_out}")
+    if min(source_rate_hz / (n_samples - 1), target_rate_hz / max(den, n_out)) < _TINY:
+        raise ValidationError(f"rates {source_rate_hz!r} and {target_rate_hz!r} Hz "
+                              f"give grid steps below the normal float range")
+    return n_out
+
+
 def output_length(n_samples: int, source_rate_hz: float, target_rate_hz: float) -> int:
     """Number of wideband samples: round(T * F_s) with T = n / f_s.
 
@@ -109,23 +131,25 @@ def output_length(n_samples: int, source_rate_hz: float, target_rate_hz: float) 
     half-to-even otherwise (the residual is exposed as
     ``SidecarHeader.rate_residual``).
     """
-    n_samples = check_counts(1, n_samples)[1]
-    duration_s = n_samples / check_rate("source_rate_hz", source_rate_hz)
-    return int(round(duration_s * check_rate("target_rate_hz", target_rate_hz)))
+    duration_s = check_counts(1, n_samples)[1] / check_rate("source_rate_hz", source_rate_hz)
+    length = duration_s * check_rate("target_rate_hz", target_rate_hz)
+    if not math.isfinite(length):
+        raise ValidationError(f"output length {length:.6g} is not finite")
+    return int(round(length))
 
 
 def destination_grid(n_out: int, target_rate_hz: float) -> np.ndarray:
     """Wideband grid: n_out evenly spaced values over [0, F_s] inclusive."""
-    if n_out < 2:
-        raise ValidationError(f"destination grid needs >= 2 points, got {n_out}")
-    return np.linspace(0.0, target_rate_hz, n_out)
+    if not (isinstance(n_out, (int, np.integer)) and n_out >= 2):
+        raise ValidationError(f"destination grid needs an integer >= 2 points, got {n_out!r}")
+    return np.linspace(0.0, check_rate("target_rate_hz", target_rate_hz), n_out)
 
 
 def source_frequencies(n_samples: int, source_rate_hz: float) -> np.ndarray:
     """Inclusive source grid: k * f_s/(n-1) for k = 0..n-1, spanning 0..f_s."""
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
-    return np.arange(n_samples, dtype=np.float64) * (source_rate_hz / (n_samples - 1))
+    n_samples = check_counts(1, n_samples)[1]
+    step = check_rate("source_rate_hz", source_rate_hz) / (n_samples - 1)
+    return np.arange(n_samples, dtype=np.float64) * step
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -305,10 +329,10 @@ class BandPlan:
       * ``collision_count`` - destination bins written more than once, total.
         Adjacent bands always share their boundary frequency (the source grid
         spans 0..f_s inclusive), so this is >= p-1 for p >= 2.
-      * ``lossless`` - True iff every channel's informative lower-half bins
-        survive stacking as the final writer of their destination bin, which
-        is exactly the condition under which decoding is exact for real
-        channels (the mirror half is reconstructed by conjugate symmetry).
+      * ``lossless`` - True iff ``first_destructive``, the first (band, bin)
+        write of an informative lower-half bin that its destination bin does
+        not keep, is None: exactly when decoding is exact for real channels
+        (the mirror half is reconstructed by conjugate symmetry).
     ``rate_feasible`` is the coarse rate-floor predicate F_s >= p * f_s; it is
     necessary for losslessness but not sufficient (see README).
 
@@ -337,7 +361,6 @@ class BandPlan:
     assignments: np.ndarray
     collision_count: int
     rate_feasible: bool
-    lossless: bool
     first_destructive: Optional[tuple[int, int]]
     source: np.ndarray
     sign: np.ndarray
@@ -347,6 +370,10 @@ class BandPlan:
     def __post_init__(self):
         for name in ("band_offsets_hz", "assignments", "source", "sign"):
             object.__setattr__(self, name, _as_locked(getattr(self, name)))
+
+    @property
+    def lossless(self) -> bool:
+        return self.first_destructive is None
 
     @property
     def dest_grid(self) -> np.ndarray:

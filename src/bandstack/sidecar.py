@@ -22,10 +22,11 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from bandstack.mapping import _band_geometry
 from bandstack.model import (
+    MODE_PAPER_COMPLEX,
     FormatError,
     ValidationError,
+    check_geometry,
     check_mode,
     check_order,
     check_rate,
@@ -141,13 +142,15 @@ class SidecarHeader:
         for name in ("source_rate_hz", "target_rate_hz"):
             object.__setattr__(self, name, check_rate(name, getattr(self, name)))
         # the configuration decode would refuse is refused here, when it is read
-        _band_geometry(self.p, self.n_samples, self.source_rate_hz, self.target_rate_hz, 0)
+        check_geometry(self.p, self.n_samples, self.source_rate_hz, self.target_rate_hz)
         scale = self.scale
         if not (math.isfinite(scale) and scale > 0 and math.frexp(scale)[0] == 0.5):
             raise ValidationError(f"scale must be a finite positive power of two, "
                                   f"got {scale!r}")
         object.__setattr__(self, "stacking_order", check_order(self.stacking_order, self.p))
         check_mode(self.mode)
+        if self.mode == MODE_PAPER_COMPLEX and self.data_format == "wav-f32":
+            raise ValidationError("paper-complex signals cannot live in WAV")
         names = self.channel_names
         if names is not None and (len(names) != self.p
                                   or not all(isinstance(n, str) for n in names)):

@@ -65,7 +65,7 @@ def make_bandnoise(p: int, n_samples: int, sample_rate_hz: float,
     """
     if band not in EEG_BANDS:
         raise ValidationError(f"unknown band {band!r}; expected one of {sorted(EEG_BANDS)}")
-    p, n_samples = check_counts(p, n_samples)
+    p, n = check_counts(p, n_samples)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     sample_rate_hz = check_rate("sample rate", sample_rate_hz)
@@ -77,7 +77,6 @@ def make_bandnoise(p: int, n_samples: int, sample_rate_hz: float,
     truncated = hi > nyquist
     hi_eff = min(hi, nyquist)
 
-    n = n_samples
     freqs = source_frequencies(n, sample_rate_hz)
     keep = (freqs >= lo) & (freqs < hi_eff)
     mask = keep.copy()

@@ -233,6 +233,13 @@ def test_synth_requires_exactly_one_source(tmp_path, capsys):
                  "--tones", "1:5"]) == 2
 
 
+def test_synth_empty_band_is_an_unknown_band(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["synth", str(out), "--band", ""]) == 2
+    assert "unknown band ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tones", ["x:10", "1:ten"])
 def test_synth_malformed_tones_is_validation_error(tmp_path, capsys, tones):
     assert main(["synth", str(tmp_path / "x.csv"), "--tones", tones]) == 2
@@ -251,15 +258,33 @@ def test_zero_record_encodes_to_zero_wav(tmp_path):
     assert np.all(bio.read_multichannel(back_csv).channels == 0)
 
 
-def test_reverse_order_flag_roundtrip(tmp_path, record_csv):
+@pytest.mark.parametrize("order, stored", [
+    pytest.param("reverse", [3, 2, 1], id="reverse"),
+    pytest.param("3,1,2", [3, 1, 2], id="3,1,2"),
+])
+def test_reverse_order_flag_roundtrip(tmp_path, record_csv, order, stored):
     csv_path, rec = record_csv
     raw = tmp_path / "r.f64"
     assert main(["encode", str(csv_path), str(raw), "--target-rate", "192",
-                 "--order", "reverse"]) == 0
+                 "--order", order]) == 0
+    assert json.loads((tmp_path / "r.f64.sidecar").read_text())["stacking_order"] == stored
     back_csv = tmp_path / "back.csv"
     assert main(["decode", str(raw), str(back_csv)]) == 0
     back = bio.read_multichannel(back_csv)
     assert np.abs(back.channels - rec.channels).max() < 1e-9
+
+
+@pytest.mark.parametrize("order, message", [
+    ("1,x", "bad --order '1,x'"),
+    ("1,1,2", "stacking_order must be a permutation"),
+])
+def test_bad_order_flag_exits_2(tmp_path, record_csv, capsys, order, message):
+    csv_path, _ = record_csv
+    raw = tmp_path / "r.f64"
+    assert main(["encode", str(csv_path), str(raw), "--target-rate", "192",
+                 "--order", order]) == 2
+    assert message in capsys.readouterr().err
+    assert not raw.exists()
 
 
 def test_encode_summary_at_reference_configuration(tmp_path, capsys):

@@ -18,6 +18,7 @@ from bandstack.model import (
     MultiChannelRecord,
     TransformConfig,
     ValidationError,
+    WidebandSignal,
 )
 from bandstack.transform import decode, encode
 from helpers import (
@@ -494,6 +495,40 @@ def test_wav_short_fmt_chunk_rejected(tmp_path):
     assert main(["decode", str(path), str(tmp_path / "back.csv")]) == 2
 
 
+@pytest.mark.parametrize("edit, message", [
+    # the fmt chunk's channel count sits at byte 22
+    pytest.param(lambda blob: blob[:22] + struct.pack("<H", 2) + blob[24:],
+                 "need mono, got 2 channels", id="stereo"),
+    # the data chunk starts at byte 48, after the fmt and fact chunks
+    pytest.param(lambda blob: blob[:48], "missing fmt or data chunk", id="no-data"),
+])
+def test_malformed_wav_under_a_valid_sidecar_exits_2(tmp_path, capsys, edit, message):
+    _, sig = _encode_small()
+    path = tmp_path / "wide.wav"
+    bio.write_wideband(sig, path)
+    path.write_bytes(edit(path.read_bytes()))
+    assert main(["decode", str(path), str(tmp_path / "back.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_csv_matrix_dimension_comment_must_match_its_data(tmp_path):
+    path = tmp_path / "m.csv"
+    bio.write_matrix(np.ones((2, 3)), path)
+    path.write_text(path.read_text().replace("# rows=2 cols=3", "# rows=3 cols=3"))
+    with pytest.raises(FormatError, match=r"header says \(3, 3\), data is \(2, 3\)"):
+        bio.read_matrix(path)
+
+
+def test_sidecar_number_beyond_the_float_range_exits_2(tmp_path, capsys):
+    _, sig = _encode_small()
+    path = tmp_path / "wide.f64"
+    bio.write_wideband(sig, path)
+    sidecar = tmp_path / "wide.f64.sidecar"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "scale": 10**400}))
+    assert main(["info", str(path)]) == 2
+    assert "field 'scale' must be a finite number" in capsys.readouterr().err
+
+
 def _encode_small(mode="real-hermitian", seed=2):
     rng = np.random.default_rng(seed)
     rec = random_record(rng, 3, 40, 32.0)
@@ -512,6 +547,9 @@ def test_wideband_raw_roundtrip_bitwise(tmp_path):
 
 def test_wideband_complex_two_planes(tmp_path):
     _, sig = _encode_small(mode=MODE_PAPER_COMPLEX)
+    samples = sig.samples.copy()
+    samples[:2] = complex(-0.0, 0.5), complex(0.25, -0.0)
+    sig = WidebandSignal(samples, sig.rate_hz, sig.provenance)
     path = tmp_path / "wide.f64"
     bio.write_wideband(sig, path)
     raw = np.fromfile(path, dtype="<f8")
@@ -520,6 +558,24 @@ def test_wideband_complex_two_planes(tmp_path):
     assert np.array_equal(raw[sig.n_out:], sig.samples.imag)
     back = bio.read_wideband(path)
     assert np.array_equal(back.samples, sig.samples)
+    # array_equal takes -0.0 for 0.0; the bytes tell them apart
+    assert back.samples.tobytes() == sig.samples.tobytes()
+
+
+def test_paper_complex_header_is_refused_in_wav(tmp_path, capsys):
+    _, sig = _encode_small()
+    forged = WidebandSignal(sig.samples, sig.rate_hz,
+                            dataclasses.replace(sig.provenance, mode=MODE_PAPER_COMPLEX))
+    with pytest.raises(ValidationError, match="paper-complex signals cannot live in WAV"):
+        bio.write_wideband(forged, tmp_path / "no.wav")
+    assert not list(tmp_path.glob("no.wav*"))
+    path = tmp_path / "wide.wav"
+    bio.write_wideband(sig, path)
+    sidecar = tmp_path / "wide.wav.sidecar"
+    sidecar.write_text(sidecar.read_text().replace('"real-hermitian"', '"paper-complex"'))
+    for argv in (["info", str(path)], ["decode", str(path), str(tmp_path / "back.csv")]):
+        assert main(argv) == 2
+        assert "paper-complex signals cannot live in WAV" in capsys.readouterr().err
 
 
 def test_complex_mode_refuses_wav(tmp_path):

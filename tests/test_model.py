@@ -14,7 +14,10 @@ from bandstack.model import (
     TransformConfig,
     ValidationError,
     WidebandSignal,
+    check_geometry,
+    destination_grid,
     output_length,
+    source_frequencies,
     validate_record,
 )
 from bandstack.sidecar import SidecarHeader, read_sidecar
@@ -331,3 +334,19 @@ def test_checked_fields_are_stored_as_plain_numbers():
     assert all(type(i) is int for i in cfg.stacking_order)
     assert type(MultiChannelRecord(np.zeros((1, 2)), 8).sample_rate_hz) is float
     assert type(StackedSpectrum(np.ones(4), np.int64(8)).rate_hz) is float
+
+
+def test_check_geometry_returns_the_output_length():
+    assert check_geometry(30, 10000, 1000.0, 16000.0) == 160000
+
+
+# Each entry point used to answer these (or raise outside ValidationError).
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: output_length(2, 1e-300, 1e300), id="output_length-infinite"),
+    pytest.param(lambda: destination_grid(2.5, 8.0), id="destination_grid-fractional"),
+    pytest.param(lambda: source_frequencies(2.5, 1.0), id="source_frequencies-fractional"),
+    pytest.param(lambda: stack_fast(2, 8, 8.0, 48.0, 1.5), id="stack_fast-fractional-band"),
+])
+def test_geometry_entry_points_refuse_with_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
