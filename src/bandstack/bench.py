@@ -13,6 +13,7 @@ fast seconds, or None without the scan.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -60,10 +61,14 @@ def run_mapping_benchmark(p: int = 30, n_samples: int = 10000,
     """Time both mapping algorithms over the same band set.
 
     ``bands`` restricts which bands are computed (default: all p); an empty
-    band set is refused, and a band outside 0..p-1 by the first fast run.
+    band set or a band that is not an integer is refused, and a band outside
+    0..p-1 by the first fast run.
     """
     n_out = check_geometry(p, n_samples, source_rate_hz, target_rate_hz)
-    bands = tuple(range(p)) if bands is None else tuple(int(b) for b in bands)
+    try:
+        bands = tuple(range(p)) if bands is None else tuple(map(operator.index, bands))
+    except TypeError as exc:
+        raise ValidationError(f"bands must be integers in 0..{p - 1}, got {bands!r}") from exc
     if not bands:
         raise ValidationError("the benchmark needs at least one band")
 

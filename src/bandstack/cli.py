@@ -44,10 +44,15 @@ def _parse_order(spec: str, p: int):
     if spec == "reverse":
         return tuple(reversed(range(p)))
     try:
-        return tuple(int(tok) - 1 for tok in spec.split(","))
+        numbers = [int(tok) for tok in spec.split(",")]
     except ValueError as exc:
         raise ValidationError(f"bad --order {spec!r}: expected 'identity', 'reverse' or a "
                               f"comma-separated 1-based permutation") from exc
+    # Checked here, in the user's own 1-based numbers; the library speaks 0-based.
+    if sorted(numbers) != list(range(1, p + 1)):
+        raise ValidationError(f"bad --order {spec!r}: stacking_order must be a permutation "
+                              f"of 1..{p} (1-based), one number per channel")
+    return tuple(k - 1 for k in numbers)
 
 
 def _record_and_config(args):

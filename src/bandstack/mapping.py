@@ -22,7 +22,10 @@ and stores one (p, n) matrix. Decode rebuilds the plan from the sidecar, so
 the assignments are part of the file format. From the final writer of each
 bin the plan also derives encode's source map (``BandPlan.source`` and
 ``sign``, about 9 bytes per bin up to n_out/2), so encode gathers every
-wideband bin once from the channel rfft instead of replaying the writes.
+wideband bin once from the channel rfft instead of replaying the writes,
+and decode's gather index in channel order (``BandPlan.decode_index``, 8
+bytes per informative channel bin), so decode inverts straight into the
+channels it returns.
 The layout depends only on the configuration, never on the samples, so the
 plan of the most recent configuration is kept and shared by every caller
 with an equal one. That is safe because a plan is a frozen dataclass whose
@@ -213,12 +216,14 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
             f"got F_s = {target:g} Hz")
     n_out = check_geometry(p, n_samples, source_rate_hz, target)
     band_width = target / (2 * p)
-    # The source map lives as long as the plan. Allocated before the
-    # temporaries below, it leaves no hole under them (allocated after them,
-    # it cost wide64-complex 2-4 ms per encode and 1-3 ms per decode).
+    # The source map and decode index live as long as the plan. Allocated
+    # before the temporaries below, they leave no hole under them (the map,
+    # allocated after them, cost wide64-complex 2-4 ms per encode and 1-3 ms
+    # per decode).
     n_bins = n_out // 2 + 1
     source = np.empty(n_bins, dtype=np.intp)
     sign = np.empty(n_bins, dtype=np.int8)
+    decode_index = np.empty((p, n_samples // 2 + 1), dtype=np.intp)
     assignments = stack_fast(p, n_samples, source_rate_hz, target, np.arange(p)[:, None])
     collision_count, first_destructive = _replay_writes(
         assignments, config.stacking_order, source, sign)
@@ -228,6 +233,9 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
             f"strict-lossless stacking impossible: channel {config.stacking_order[b] + 1} "
             f"source bin {j} is overwritten at destination bin {assignments[b, j]} "
             f"(collision_count={collision_count})")
+    # Row c of decode's gather reads band argsort(order)[c], channel c's band.
+    np.take(assignments[:, :decode_index.shape[1]], np.argsort(config.stacking_order),
+            axis=0, out=decode_index, mode="clip")
 
     return BandPlan(
         p=p,
@@ -244,6 +252,7 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
         first_destructive=first_destructive,
         source=source,
         sign=sign,
+        decode_index=decode_index,
         mode=config.mode,
         stacking_order=config.stacking_order,
     )

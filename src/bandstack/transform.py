@@ -42,8 +42,19 @@ Scratch: encode stacks and (in paper-complex) inverts in place in one held
 complex spectrum, and decode transforms into it. Each thread keeps one, of
 n_out bins in paper-complex and n_out//2 + 1 in the real modes, so at most
 16*n_out bytes; it is replaced when n_out or the mode changes its length.
-Stacking allocates only the p*(n//2 + 1) rfft bins beside it.
-Every array that encode or decode returns is fresh and owned by the caller.
+Beside it, each call allocates:
+
+  * encode - the channels' p*(n//2 + 1) complex rfft bins, freed before the
+    inverse, then the samples it returns: in the real modes the ``irfft``
+    output, scaled in place; in paper-complex one scaled copy of the held
+    spectrum (after the n_out magnitudes that find its peak).
+  * decode - the (p, n//2 + 1) complex gather of every channel's bins, in
+    channel order, and the (p, n) channels it returns, which the batched
+    ``irfft`` writes directly.
+
+The signal and the record adopt those arrays and lock them instead of
+copying, so every array encode or decode returns is fresh, read-only and
+never shares the held spectrum.
 """
 
 from __future__ import annotations
@@ -140,8 +151,8 @@ def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSigna
         stacked = _wideband_buffer(n_out, complex_mode)
         _stack_spectrum(record.channels, plan, stacked)
         if complex_mode:
-            samples = np.fft.ifft(stacked, out=stacked)
-            peak = float(np.abs(samples).max())
+            np.fft.ifft(stacked, out=stacked)
+            peak = float(np.abs(stacked).max())
         else:
             # Halving the interior makes the real inverse equal the real part
             # of the complex one, which is what decode's doubling assumes.
@@ -163,9 +174,11 @@ def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSigna
         collision_count=plan.collision_count,
         channel_names=record.channel_names,
     )
-    samples /= scale
-    # The signal copies the samples, so it never shares the held buffer.
-    return WidebandSignal(samples, config.target_rate_hz, provenance)
+    if complex_mode:
+        samples = np.divide(stacked, scale)  # the one fresh copy of the held buffer
+    else:
+        samples /= scale
+    return WidebandSignal._adopt(samples, config.target_rate_hz, provenance)
 
 
 def decode(signal: WidebandSignal) -> MultiChannelRecord:
@@ -204,12 +217,13 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
             raw[0] = s.sum() * prov.scale
             if plan.n_out % 2 == 0:
                 raw[-1] = (s[::2].sum() - s[1::2].sum()) * prov.scale
-        n = prov.n_samples
-        lower = raw[plan.assignments[:, :n // 2 + 1]]
-        channels = np.empty((prov.p, n), dtype=np.float64)
-        channels[list(plan.stacking_order)] = np.fft.irfft(lower, n, axis=1)
+        # The gather is in channel order, so the inverse writes each channel
+        # straight into its row of the array the record adopts.
+        lower = raw[plan.decode_index]
+        channels = np.empty((prov.p, prov.n_samples), dtype=np.float64)
+        np.fft.irfft(lower, prov.n_samples, axis=1, out=channels)
     try:
-        return MultiChannelRecord(channels, prov.source_rate_hz, prov.channel_names)
+        return MultiChannelRecord._adopt(channels, prov.source_rate_hz, prov.channel_names)
     except ValidationError as exc:
         if np.isfinite(channels).all():
             raise

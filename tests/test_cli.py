@@ -1,7 +1,11 @@
 """CLI surface: subcommands, exit codes, printed summaries."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +289,31 @@ def test_bad_order_flag_exits_2(tmp_path, record_csv, capsys, order, message):
                  "--order", order]) == 2
     assert message in capsys.readouterr().err
     assert not raw.exists()
+
+
+@pytest.mark.parametrize("order", ["1,1,2", "0,1,2", "1,2,3,4"])
+def test_bad_order_flag_names_the_typed_numbers(tmp_path, record_csv, capsys, order):
+    # the message quotes what was typed and the 1-based range, never the
+    # library's 0-based translation of it
+    csv_path, _ = record_csv
+    assert main(["encode", str(csv_path), str(tmp_path / "r.f64"), "--target-rate", "192",
+                 "--order", order]) == 2
+    err = capsys.readouterr().err
+    assert f"bad --order '{order}': stacking_order must be a permutation of 1..3 (1-based)" in err
+    assert "0-based" not in err and "got (" not in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, record_csv):
+    csv_path, _ = record_csv
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "bandstack", "encode", str(csv_path), str(tmp_path / "r.f64"),
+         "--target-rate", "192", "--order", "0,1,2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "bad --order '0,1,2'" in done.stderr
 
 
 def test_encode_summary_at_reference_configuration(tmp_path, capsys):

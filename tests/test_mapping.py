@@ -332,12 +332,29 @@ def test_cached_plan_is_read_only():
         plan.source[0] = 1
     with pytest.raises(ValueError, match="read-only"):
         plan.sign[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        plan.decode_index[0, 0] = 1
     # nor can the arrays be unlocked again
-    for array in (plan.assignments, plan.band_offsets_hz, plan.source, plan.sign):
+    for array in (plan.assignments, plan.band_offsets_hz, plan.source, plan.sign,
+                  plan.decode_index):
         with pytest.raises(ValueError, match="WRITEABLE"):
             array.setflags(write=True)
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.collision_count = 0
+
+
+@pytest.mark.parametrize("p, n, f_s, F_s", [(5, 17, 25.0, 310.0), (4, 64, 50.0, 333.0),
+                                          (7, 10, 10.0, 41.0)])
+def test_decode_index_gathers_each_channels_band_in_channel_order(p, n, f_s, F_s):
+    rng = np.random.default_rng(p * n)
+    for order in (None, tuple(reversed(range(p))), tuple(map(int, rng.permutation(p)))):
+        plan = _plan(p, n, f_s, F_s, order=order)
+        want = plan.assignments[np.argsort(plan.stacking_order), :n // 2 + 1]
+        assert plan.decode_index.dtype == np.intp
+        assert plan.decode_index.flags.c_contiguous
+        assert np.array_equal(plan.decode_index, want)
+        for band, channel in enumerate(plan.stacking_order):
+            assert np.array_equal(plan.decode_index[channel], plan.assignments[band, :n // 2 + 1])
 
 
 def test_plan_cache_is_bounded():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bandstack.bench import run_mapping_benchmark
 from bandstack.mapping import build_band_plan, stack_fast, stack_oracle
 from bandstack.model import (
     ChannelSpectrum,
@@ -346,7 +347,14 @@ def test_check_geometry_returns_the_output_length():
     pytest.param(lambda: destination_grid(2.5, 8.0), id="destination_grid-fractional"),
     pytest.param(lambda: source_frequencies(2.5, 1.0), id="source_frequencies-fractional"),
     pytest.param(lambda: stack_fast(2, 8, 8.0, 48.0, 1.5), id="stack_fast-fractional-band"),
+    pytest.param(lambda: run_mapping_benchmark(2, 8, 8.0, 48.0, bands=[1.5], include_scan=False),
+                 id="run_mapping_benchmark-fractional-band"),
 ])
 def test_geometry_entry_points_refuse_with_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_the_mapping_benchmark_stores_integer_bands_as_plain_ints():
+    report = run_mapping_benchmark(2, 8, 8.0, 48.0, bands=np.arange(2), include_scan=False)
+    assert report.bands == (0, 1) and all(type(b) is int for b in report.bands)

@@ -5,11 +5,13 @@ import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from bandstack.model import (
     MODE_PAPER_COMPLEX,
     MODE_REAL_HERMITIAN,
     MODE_STRICT_LOSSLESS,
+    MODES,
     MultiChannelRecord,
     TransformConfig,
 )
@@ -97,6 +99,53 @@ def test_paper_complex_decode_reuses_the_encode_scratch():
 
     _, (peak, n_out) = _traced_peak(encode_then_traced_decode)
     assert peak <= 0.6 * 8 * n_out
+
+
+# p=8, n=4096 at 1024 Hz into 16384 Hz: n_out = 65536 = 2*p*n, so one (p, n)
+# channel array weighs half the real-mode scratch and the FFT temporaries and
+# copies of the channels show against it.
+_CH_P, _CH_N, _CH_RATE, _CH_TARGET = 8, 4096, 1024.0, 16384.0
+
+
+def _channel_heavy_record():
+    rng = np.random.default_rng(3)
+    return MultiChannelRecord(rng.standard_normal((_CH_P, _CH_N)), _CH_RATE)
+
+
+def test_real_decode_allocates_its_gather_and_the_returned_channels_only():
+    # beside the half-length scratch: the (p, n//2 + 1) complex gather, about
+    # one (p, n) float array, and the channels, which the inverse FFT writes
+    # and the record keeps (an inverse scattered into a third array that the
+    # record then copies peaks at three)
+    cfg = TransformConfig(_CH_TARGET, _CH_P, mode=MODE_REAL_HERMITIAN)
+    sig = encode(_channel_heavy_record(), cfg)  # builds and caches the plan
+    peak, decoded = _traced_peak(lambda: decode(sig))
+    assert decoded.channels.shape == (_CH_P, _CH_N)
+    assert peak <= 8 * sig.n_out + 2.5 * decoded.channels.nbytes
+
+
+def test_real_encode_returns_its_inverse_without_copying_it():
+    # the half-length scratch and the returned samples; the channels' rfft
+    # bins are freed before the inverse allocates them
+    cfg = TransformConfig(_CH_TARGET, _CH_P, mode=MODE_REAL_HERMITIAN)
+    rec = _channel_heavy_record()
+    encode(rec, cfg)
+    peak, sig = _traced_peak(lambda: encode(rec, cfg))
+    assert sig.samples.nbytes == 8 * sig.n_out
+    assert peak <= 8 * sig.n_out + 1.5 * sig.samples.nbytes
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_returned_arrays_are_locked_and_never_the_scratch(mode):
+    cfg = TransformConfig(_TARGET, _P, mode=mode)
+    sig = encode(_record(), cfg)
+    decoded = decode(sig)
+    scratch = _wideband_buffer(sig.n_out, sig.is_complex)
+    for array in (sig.samples, decoded.channels):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            array.setflags(write=True)
+        assert not np.shares_memory(array, scratch)
 
 
 # Four configurations whose scratch lengths all differ (n_out and mode), so
