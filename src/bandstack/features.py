@@ -1,18 +1,27 @@
 """Feature extraction: magnitude spectrograms and EEG-band energy summaries.
 
-Each feature is one batched pass. The spectrogram is a Hann-windowed
-magnitude STFT of the wideband waveform: one ``rfft`` over a strided view of
-all frames. The frame count follows 1 + floor((L - window)/hop); some
-toolkits do not emit the final frame, so ``paper_shape=True`` drops it
-(turning the reference configuration's 513 x 622 into 513 x 621).
+The spectrogram is a Hann-windowed magnitude STFT of the wideband waveform.
+The frame count follows 1 + floor((L - window)/hop); some toolkits do not
+emit the final frame, so ``paper_shape=True`` drops it (turning the
+reference configuration's 513 x 622 into 513 x 621).
 
 Band energies integrate |spectrum|^2 over the classic EEG bands on the
-inclusive bin grid k * f_s/(n-1): one ``rfft`` over all channels, one sum per
-band over its contiguous bin range. sigma and beta overlap and are reported
-independently. Bands are clipped at Nyquist; one starting at or above is absent.
+inclusive bin grid k * f_s/(n-1), one sum per band over its contiguous bin
+range. sigma and beta overlap and are reported independently. Bands are
+clipped at Nyquist; one starting at or above is absent.
+
+Both stream their rows (STFT frames, channels) through block buffers of
+about ``_BLOCK_BYTES`` (1 MiB, half a 2 MiB per-core L2): 64 frames per block
+at window 1024, 13 channels at n = 10000. Each block is ``rfft``-ed into one
+buffer (the STFT first windows its frames into another) and reduced straight
+into the result, the dB scale included. So a call holds its result and the
+block buffers, whatever the length of its input. ``rfft`` transforms each
+row on its own, so the block size changes no value.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -36,6 +45,9 @@ EEG_BANDS = {
 
 _LOG_FLOOR = 1e-12
 
+# Bytes of a block's buffers; see the module docstring.
+_BLOCK_BYTES = 1 << 20
+
 
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window (the STFT variant, endpoint excluded)."""
@@ -51,12 +63,34 @@ def frame_count(n_samples: int, window_samples: int, overlap_samples: int,
     return frames
 
 
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block when each row takes ``row_bytes`` of block buffers."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _stft_block_frames(window_samples: int) -> int:
+    """Frames per STFT block: a frame's windowed samples (8 bytes each) and
+    its window//2 + 1 complex bins (16 bytes each), about 16 bytes a sample."""
+    return _block_rows(16 * window_samples)
+
+
+def _check_sample_count(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer number of samples, "
+                              f"got {value!r}") from None
+
+
 def stft_magnitude(samples: np.ndarray, window_samples: int, overlap_samples: int,
                    paper_shape: bool = False, log: bool = False) -> np.ndarray:
     """Magnitude STFT of a real vector: (window//2 + 1) x frames.
 
-    ``log=True`` returns dB (20*log10, floored at -240 dB).
+    ``log=True`` returns dB (20*log10, floored at -240 dB). The result is the
+    transpose of a C-ordered (frames, window//2 + 1) array.
     """
+    window_samples = _check_sample_count("window_samples", window_samples)
+    overlap_samples = _check_sample_count("overlap_samples", overlap_samples)
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise ValidationError("stft input must be a vector")
@@ -70,12 +104,24 @@ def stft_magnitude(samples: np.ndarray, window_samples: int, overlap_samples: in
     frames = frame_count(x.shape[0], window_samples, overlap_samples, paper_shape)
     if frames < 1:
         raise ValidationError("no frames left (signal too short for this window/overlap)")
-    segments = (np.lib.stride_tricks.sliding_window_view(x, window_samples)[::hop][:frames]
-                * hann_window(window_samples))
-    mag = np.abs(np.fft.rfft(segments, axis=1)).T
-    if log:
-        return 20.0 * np.log10(np.maximum(mag, _LOG_FLOOR))
-    return mag
+    framed = np.lib.stride_tricks.sliding_window_view(x, window_samples)[::hop]
+    hann = hann_window(window_samples)
+    bins = window_samples // 2 + 1
+    rows = min(frames, _stft_block_frames(window_samples))
+    segments = np.empty((rows, window_samples))
+    spectra = np.empty((rows, bins), dtype=np.complex128)
+    mag = np.empty((frames, bins))
+    for a in range(0, frames, rows):
+        b = min(a + rows, frames)
+        seg, spec, out = segments[:b - a], spectra[:b - a], mag[a:b]
+        np.multiply(framed[a:b], hann, out=seg)
+        np.fft.rfft(seg, axis=1, out=spec)
+        np.abs(spec, out=out)
+        if log:
+            np.maximum(out, _LOG_FLOOR, out=out)
+            np.log10(out, out=out)
+            out *= 20.0
+    return mag.T
 
 
 def spectrogram(signal: WidebandSignal, window_samples: int, overlap_samples: int,
@@ -116,8 +162,17 @@ def band_energies(record: MultiChannelRecord) -> list[dict[str, float]]:
     ranges = {name: np.searchsorted(freqs, (lo, min(hi, nyquist)))
               for name, (lo, hi) in EEG_BANDS.items() if lo < nyquist}
     top = max((b for _, b in ranges.values()), default=0)
-    power = np.abs(np.fft.rfft(record.channels, axis=1)[:, :top]) ** 2
-    energies = np.zeros((record.p, len(ranges)))
-    for j, (a, b) in enumerate(ranges.values()):
-        energies[:, j] = power[:, a:b].sum(axis=1)
+    p, n = record.channels.shape
+    rows = min(p, _block_rows(16 * (n // 2 + 1)))
+    spectra = np.empty((rows, n // 2 + 1), dtype=np.complex128)
+    power = np.empty((rows, top))
+    energies = np.zeros((p, len(ranges)))
+    for a in range(0, p, rows):
+        b = min(a + rows, p)
+        spec, pw = spectra[:b - a], power[:b - a]
+        np.fft.rfft(record.channels[a:b], axis=1, out=spec)
+        np.abs(spec[:, :top], out=pw)
+        np.square(pw, out=pw)
+        for j, (lo, hi) in enumerate(ranges.values()):
+            energies[a:b, j] = pw[:, lo:hi].sum(axis=1)
     return [dict(zip(ranges, row)) for row in energies.tolist()]

@@ -44,10 +44,12 @@ n_out bins in paper-complex and n_out//2 + 1 in the real modes, so at most
 16*n_out bytes; it is replaced when n_out or the mode changes its length.
 Beside it, each call allocates:
 
-  * encode - the channels' p*(n//2 + 1) complex rfft bins, freed before the
-    inverse, then the samples it returns: in the real modes the ``irfft``
-    output, scaled in place; in paper-complex one scaled copy of the held
-    spectrum (after the n_out magnitudes that find its peak).
+  * encode - the channels' p*(n//2 + 1) complex rfft bins and the copy of
+    the plan's read-only source map that ``np.take`` makes for its gather
+    (8*(n_out//2 + 1) bytes), both freed before the inverse, then the
+    samples it returns: in the real modes the ``irfft`` output, scaled in
+    place; in paper-complex one scaled copy of the held spectrum (after the
+    n_out magnitudes that find its peak).
   * decode - the (p, n//2 + 1) complex gather of every channel's bins, in
     channel order, and the (p, n) channels it returns, which the batched
     ``irfft`` writes directly.
@@ -125,6 +127,8 @@ def _stack_spectrum(channels: np.ndarray, plan: BandPlan, stacked: np.ndarray) -
     bins[-1] = 0
     lower = stacked[:plan.n_out // 2 + 1]
     # mode="clip" writes straight into ``lower``; "raise" buffers a copy.
+    # np.take needs a writeable index, so it still copies the locked
+    # ``plan.source`` on every call: 8*(n_out//2 + 1) bytes, freed on return.
     np.take(bins, plan.source, out=lower, mode="clip")
     # Times -1 negates exactly, so this matches np.conjugate bit for bit.
     np.multiply(lower.imag, plan.sign, out=lower.imag)

@@ -1,10 +1,13 @@
 """Spectrogram and band-energy contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bandstack.features import (
     EEG_BANDS,
+    _stft_block_frames,
     band_energies,
     frame_count,
     spectrogram,
@@ -101,6 +104,17 @@ def test_window_validation():
         stft_magnitude(x, 128, 0)
     with pytest.raises(ValidationError, match="overlap"):
         stft_magnitude(x, 32, 32)
+    with pytest.raises(ValidationError, match="window_samples must be an integer.*1024.0"):
+        stft_magnitude(np.zeros(2048), 1024.0, 768)
+    with pytest.raises(ValidationError, match="overlap_samples must be an integer.*63.5"):
+        stft_magnitude(x, 64, 63.5)
+    rec = MultiChannelRecord(np.random.default_rng(3).standard_normal((1, 64)), 32.0)
+    sig = encode(rec, TransformConfig(64.0, 1))
+    with pytest.raises(ValidationError, match="window_samples must be an integer"):
+        spectrogram(sig, "16", 8)
+    with pytest.raises(ValidationError, match="overlap_samples must be an integer"):
+        spectrogram(sig, 16, 8.0)
+    assert spectrogram(sig, np.int64(16), np.int32(8)).shape == (9, 15)
 
 
 def test_spectrogram_rejects_complex_mode():
@@ -167,6 +181,13 @@ def test_sigma_beta_overlap_reported_independently():
     assert energies["beta"] >= energies["sigma"] * 0.999
 
 
+def _frames_to_length(frames, window, overlap):
+    return window + (frames - 1) * (window - overlap)
+
+
+_BLOCK = _stft_block_frames(1024)  # frames per block at window 1024
+
+
 @pytest.mark.parametrize("length, window, overlap, paper_shape, log", [
     (512, 64, 48, False, False),
     (300, 32, 0, False, False),  # hop = window
@@ -175,6 +196,10 @@ def test_sigma_beta_overlap_reported_independently():
     (2000, 256, 192, True, False),
     (777, 64, 31, False, True),
     (160000, 1024, 768, True, False),  # the reference configuration
+    (_frames_to_length(_BLOCK, 1024, 768), 1024, 768, False, False),  # one block
+    (_frames_to_length(_BLOCK + 1, 1024, 768), 1024, 768, False, False),
+    (_frames_to_length(_BLOCK + 1, 1024, 768) + 255, 1024, 768, True, False),
+    (_frames_to_length(3 * _BLOCK + 5, 1024, 1000), 1024, 1000, False, True),
 ])
 def test_stft_equals_frame_gather_oracle(length, window, overlap, paper_shape, log):
     x = np.random.default_rng(length).standard_normal(length)
@@ -189,11 +214,37 @@ def test_stft_of_strided_input_equals_oracle():
     assert np.array_equal(stft_magnitude(x, 100, 37), stft_magnitude_literal(x, 100, 37))
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_stft_holds_its_output_and_one_block(log):
+    # the reference configuration: the output plus about 1 MiB of block buffers
+    x = np.random.default_rng(12).standard_normal(160000)
+    stft_magnitude(x, 1024, 768, paper_shape=True, log=log)
+    peak, m = _traced_peak(lambda: stft_magnitude(x, 1024, 768, paper_shape=True, log=log))
+    assert m.shape == (513, 621)
+    assert peak <= m.nbytes + 2 * 2 ** 20
+
+
+def test_band_energies_hold_less_than_the_channels():
+    rec = MultiChannelRecord(np.random.default_rng(13).standard_normal((30, 10000)), 1000.0)
+    band_energies(rec)
+    peak, _ = _traced_peak(lambda: band_energies(rec))
+    assert peak < rec.channels.nbytes
+
+
 @pytest.mark.parametrize("p, n, rate", [
     (3, 2, 250.0), (2, 3, 250.0), (4, 512, 256.0), (3, 101, 250.0),
     (1, 64, 60.0),  # gamma starts at Nyquist: absent
     (2, 200, 150.0),  # gamma clipped at Nyquist
-    (30, 10000, 1000.0),
+    (30, 10000, 1000.0),  # three blocks of channels, the last one short
 ])
 def test_band_energies_match_per_channel_oracle(p, n, rate):
     data = np.random.default_rng(p * n).standard_normal((p, n))
