@@ -5,18 +5,18 @@ The frame count follows 1 + floor((L - window)/hop); some toolkits do not
 emit the final frame, so ``paper_shape=True`` drops it (turning the
 reference configuration's 513 x 622 into 513 x 621).
 
-Band energies integrate |spectrum|^2 over the classic EEG bands on the
-inclusive bin grid k * f_s/(n-1), one sum per band over its contiguous bin
-range. sigma and beta overlap and are reported independently. Bands are
-clipped at Nyquist; one starting at or above is absent.
+The STFT streams its frames through two block buffers of about
+``spectrum.BLOCK_BYTES`` (1 MiB) together, at most 64 frames at window 1024
+(the reference configuration's 621 frames: nine blocks of 63, one of 54): it
+windows a block's frames into one, ``rfft``-s them into the other and writes
+their magnitudes, dB scale included, straight into the result. So a call
+holds its result and the block buffers, whatever the length of its input.
+``rfft`` transforms each frame on its own, so the block size changes no value.
 
-Both stream their rows (STFT frames, channels) through block buffers of
-about ``_BLOCK_BYTES`` (1 MiB, half a 2 MiB per-core L2): 64 frames per block
-at window 1024, 13 channels at n = 10000. Each block is ``rfft``-ed into one
-buffer (the STFT first windows its frames into another) and reduced straight
-into the result, the dB scale included. So a call holds its result and the
-block buffers, whatever the length of its input. ``rfft`` transforms each
-row on its own, so the block size changes no value.
+Band energies integrate |spectrum|^2 over the classic EEG bands on the
+inclusive bin grid k * f_s/(n-1): one ``rfft`` over all channels, one sum per
+band over its contiguous bin range. sigma and beta overlap and are reported
+independently. Bands are clipped at Nyquist; one starting at or above is absent.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from bandstack.model import (
     source_frequencies,
     validate_record,
 )
+from bandstack.spectrum import block_rows
 
 # name -> (low_hz, high_hz), half-open [low, high)
 EEG_BANDS = {
@@ -44,9 +45,6 @@ EEG_BANDS = {
 }
 
 _LOG_FLOOR = 1e-12
-
-# Bytes of a block's buffers; see the module docstring.
-_BLOCK_BYTES = 1 << 20
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -61,17 +59,6 @@ def frame_count(n_samples: int, window_samples: int, overlap_samples: int,
     if paper_shape:
         frames -= 1
     return frames
-
-
-def _block_rows(row_bytes: int) -> int:
-    """Rows per block when each row takes ``row_bytes`` of block buffers."""
-    return max(1, _BLOCK_BYTES // row_bytes)
-
-
-def _stft_block_frames(window_samples: int) -> int:
-    """Frames per STFT block: a frame's windowed samples (8 bytes each) and
-    its window//2 + 1 complex bins (16 bytes each), about 16 bytes a sample."""
-    return _block_rows(16 * window_samples)
 
 
 def _check_sample_count(name: str, value) -> int:
@@ -107,7 +94,9 @@ def stft_magnitude(samples: np.ndarray, window_samples: int, overlap_samples: in
     framed = np.lib.stride_tricks.sliding_window_view(x, window_samples)[::hop]
     hann = hann_window(window_samples)
     bins = window_samples // 2 + 1
-    rows = min(frames, _stft_block_frames(window_samples))
+    # A frame takes its windowed samples (8 bytes each) and its window//2 + 1
+    # complex bins (16 bytes each): about 16 bytes a sample.
+    rows = block_rows(16 * window_samples, frames)
     segments = np.empty((rows, window_samples))
     spectra = np.empty((rows, bins), dtype=np.complex128)
     mag = np.empty((frames, bins))
@@ -162,17 +151,8 @@ def band_energies(record: MultiChannelRecord) -> list[dict[str, float]]:
     ranges = {name: np.searchsorted(freqs, (lo, min(hi, nyquist)))
               for name, (lo, hi) in EEG_BANDS.items() if lo < nyquist}
     top = max((b for _, b in ranges.values()), default=0)
-    p, n = record.channels.shape
-    rows = min(p, _block_rows(16 * (n // 2 + 1)))
-    spectra = np.empty((rows, n // 2 + 1), dtype=np.complex128)
-    power = np.empty((rows, top))
-    energies = np.zeros((p, len(ranges)))
-    for a in range(0, p, rows):
-        b = min(a + rows, p)
-        spec, pw = spectra[:b - a], power[:b - a]
-        np.fft.rfft(record.channels[a:b], axis=1, out=spec)
-        np.abs(spec[:, :top], out=pw)
-        np.square(pw, out=pw)
-        for j, (lo, hi) in enumerate(ranges.values()):
-            energies[a:b, j] = pw[:, lo:hi].sum(axis=1)
+    power = np.abs(np.fft.rfft(record.channels, axis=1)[:, :top]) ** 2
+    energies = np.zeros((record.p, len(ranges)))
+    for j, (a, b) in enumerate(ranges.values()):
+        energies[:, j] = power[:, a:b].sum(axis=1)
     return [dict(zip(ranges, row)) for row in energies.tolist()]

@@ -28,9 +28,10 @@ spectrum's interior bins. In the real modes that undoes encode's halving. In
 paper-complex the spectrum S is one-sided, so bin k of the real plane,
 (S[k] + conj(S[-k])) / 2, is S[k] / 2 inside but only Re S[k] at DC and
 Nyquist, their own mirrors; decode takes those two bins from direct sums of
-the complex samples instead. It then gathers every channel's informative
-lower-half bins at once and inverts them in one batched real inverse FFT,
-which restores the mirror half by conjugate symmetry. The upper-half reads
+the complex samples instead. It then gathers the channels' informative
+lower-half bins, one block of about 1 MiB of channels at a time, and inverts
+each block in one batched real inverse FFT, which restores the mirror half
+by conjugate symmetry. The upper-half reads
 would be wrong anyway: adjacent bands structurally overwrite each other's
 boundary bin, and only the redundant conjugate copy is lost there.
 
@@ -50,9 +51,10 @@ Beside it, each call allocates:
     samples it returns: in the real modes the ``irfft`` output, scaled in
     place; in paper-complex one scaled copy of the held spectrum (after the
     n_out magnitudes that find its peak).
-  * decode - the (p, n//2 + 1) complex gather of every channel's bins, in
-    channel order, and the (p, n) channels it returns, which the batched
-    ``irfft`` writes directly.
+  * decode - the (p, n) channels it returns, which the batched ``irfft``
+    writes directly, block by block, and one block's complex gather of its
+    channels' n//2 + 1 bins at a time (``spectrum.block_rows``: at most
+    1 MiB, so 30 channels of n = 10000 go in three blocks of 10).
 
 The signal and the record adopt those arrays and lock them instead of
 copying, so every array encode or decode returns is fresh, read-only and
@@ -81,6 +83,7 @@ from bandstack.model import (
     validate_record,
 )
 from bandstack.sidecar import SidecarHeader
+from bandstack.spectrum import block_rows
 
 
 def _normalization_scale(peak: float) -> float:
@@ -221,11 +224,13 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
             raw[0] = s.sum() * prov.scale
             if plan.n_out % 2 == 0:
                 raw[-1] = (s[::2].sum() - s[1::2].sum()) * prov.scale
-        # The gather is in channel order, so the inverse writes each channel
-        # straight into its row of the array the record adopts.
-        lower = raw[plan.decode_index]
+        # The gather is in channel order, so each block's inverse writes its
+        # channels straight into their rows of the array the record adopts.
         channels = np.empty((prov.p, prov.n_samples), dtype=np.float64)
-        np.fft.irfft(lower, prov.n_samples, axis=1, out=channels)
+        rows = block_rows(16 * plan.decode_index.shape[1], prov.p)
+        for a in range(0, prov.p, rows):
+            np.fft.irfft(raw[plan.decode_index[a:a + rows]], prov.n_samples, axis=1,
+                         out=channels[a:a + rows])
     try:
         return MultiChannelRecord._adopt(channels, prov.source_rate_hz, prov.channel_names)
     except ValidationError as exc:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from bandstack.model import (
     ValidationError,
     WidebandSignal,
 )
+from bandstack import spectrum
 from bandstack.spectrum import forward_fft
 from bandstack.transform import _stack_spectrum, decode, encode, roundtrip_report
 from helpers import (
@@ -518,3 +520,36 @@ def test_encode_and_decode_are_bitwise_pinned():
         for signal in (sig, WidebandSignal(noise, sig.rate_hz, sig.provenance)):
             digest.update(decode(signal).channels.tobytes())
     assert digest.hexdigest() == _PIN_DIGEST
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_decode_blocks_change_no_bit(mode, monkeypatch):
+    # p=7, n=40: 21 bins, 336 bytes a channel's gather. Blocks of 1, 2 and 3
+    # channels (the last one short) against all 7 in one block.
+    rng = np.random.default_rng(7)
+    rec = MultiChannelRecord(rng.standard_normal((7, 40)), 40.0)
+    sig = encode(rec, _cfg(7, 560.0, mode=mode, order=tuple(rng.permutation(7).tolist())))
+    noise = rng.standard_normal(sig.n_out)
+    if mode == MODE_PAPER_COMPLEX:
+        noise = noise + 1j * rng.standard_normal(sig.n_out)
+    signals = (sig, WidebandSignal(noise, sig.rate_hz, sig.provenance))
+    want = [decode(s).channels.tobytes() for s in signals]
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(spectrum, "BLOCK_BYTES", rows * 336)
+        assert [decode(s).channels.tobytes() for s in signals] == want, rows
+
+
+def test_decode_holds_its_channels_and_one_block():
+    # the eeg16k shape: 30 channels of 10000 samples at 1 kHz into 16 kHz
+    rec = MultiChannelRecord(np.random.default_rng(14).standard_normal((30, 10000)), 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
+        sig = encode(rec, _cfg(30, 16000.0))
+    decode(sig)  # builds the plan and this thread's scratch
+    tracemalloc.start()
+    try:
+        back = decode(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= back.channels.nbytes + spectrum.BLOCK_BYTES + 2 ** 18
