@@ -3,7 +3,8 @@
 The spectrogram is a Hann-windowed magnitude STFT of the wideband waveform.
 The frame count follows 1 + floor((L - window)/hop); some toolkits do not
 emit the final frame, so ``paper_shape=True`` drops it (turning the
-reference configuration's 513 x 622 into 513 x 621).
+reference configuration's 513 x 622 into 513 x 621). Its input must be a
+real vector of numbers (``model.check_array``); complex input is refused.
 
 The STFT streams its frames through two block buffers of about
 ``spectrum.BLOCK_BYTES`` (1 MiB) together, at most 64 frames at window 1024
@@ -21,14 +22,14 @@ independently. Bands are clipped at Nyquist; one starting at or above is absent.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from bandstack.model import (
     MultiChannelRecord,
     ValidationError,
     WidebandSignal,
+    check_array,
+    check_integer,
     source_frequencies,
     validate_record,
 )
@@ -54,19 +55,14 @@ def hann_window(n: int) -> np.ndarray:
 
 def frame_count(n_samples: int, window_samples: int, overlap_samples: int,
                 paper_shape: bool = False) -> int:
+    if not 0 <= overlap_samples < window_samples:
+        raise ValidationError(
+            f"overlap must satisfy 0 <= overlap < window, got {overlap_samples}")
     hop = window_samples - overlap_samples
     frames = 1 + (n_samples - window_samples) // hop
     if paper_shape:
         frames -= 1
     return frames
-
-
-def _check_sample_count(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer number of samples, "
-                              f"got {value!r}") from None
 
 
 def stft_magnitude(samples: np.ndarray, window_samples: int, overlap_samples: int,
@@ -76,17 +72,12 @@ def stft_magnitude(samples: np.ndarray, window_samples: int, overlap_samples: in
     ``log=True`` returns dB (20*log10, floored at -240 dB). The result is the
     transpose of a C-ordered (frames, window//2 + 1) array.
     """
-    window_samples = _check_sample_count("window_samples", window_samples)
-    overlap_samples = _check_sample_count("overlap_samples", overlap_samples)
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError("stft input must be a vector")
+    window_samples = check_integer("window_samples", window_samples)
+    overlap_samples = check_integer("overlap_samples", overlap_samples)
+    x = check_array("samples", samples, 1)
     if window_samples < 1 or window_samples > x.shape[0]:
         raise ValidationError(
             f"window of {window_samples} samples does not fit a signal of {x.shape[0]}")
-    if not 0 <= overlap_samples < window_samples:
-        raise ValidationError(
-            f"overlap must satisfy 0 <= overlap < window, got {overlap_samples}")
     hop = window_samples - overlap_samples
     frames = frame_count(x.shape[0], window_samples, overlap_samples, paper_shape)
     if frames < 1:

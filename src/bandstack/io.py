@@ -3,7 +3,9 @@
 Every binary artifact travels with a JSON sidecar (``<data>.sidecar``) that
 carries the dimensions and, for wideband signals, the full decode provenance.
 All kinds share one format resolver, one raw-f64 reader/writer pair and one
-sidecar writer, whose text ``sidecar.sidecar_text`` builds. Formats:
+sidecar writer, whose text ``sidecar.sidecar_text`` builds. ``write_wav_f32``
+and ``write_matrix`` refuse complex input (``model.check_array``) rather than
+write its real part. Formats:
 
   * CSV records - UTF-8, one column per channel, optional ``# rate_hz=...``
     comment and optional channel names: a header row, or a
@@ -47,6 +49,7 @@ from bandstack.model import (
     MultiChannelRecord,
     ValidationError,
     WidebandSignal,
+    check_array,
     check_rate,
 )
 from bandstack.sidecar import WIDEBAND_FORMATS, SidecarHeader, read_sidecar, sidecar_text
@@ -93,7 +96,8 @@ def _write_raw(path, array: np.ndarray) -> None:
 
 def _read_raw(path, shape: tuple[int, ...]) -> np.ndarray:
     """Read a raw-f64 file that must hold exactly ``shape`` doubles. A regular
-    file's size is checked before any of it is read."""
+    file's size is checked before any of it is read. A 1-D shape returns the
+    array that owns the data, so a signal can adopt it without a copy."""
     size = math.prod(shape)
     found = os.path.getsize(path) if os.path.isfile(path) else None
     if found is None or found == 8 * size:
@@ -103,7 +107,7 @@ def _read_raw(path, shape: tuple[int, ...]) -> np.ndarray:
         want = "*".join(map(str, shape)) + (f"={size}" if len(shape) > 1 else "")
         stray = f" and {found % 8} stray bytes" if found % 8 else ""
         raise FormatError(f"{path}: expected {want} doubles, found {found // 8}{stray}")
-    return data.reshape(shape)
+    return data if data.shape == shape else data.reshape(shape)
 
 
 def _read_sidecar(path, kind=None) -> dict:
@@ -370,9 +374,7 @@ def _wav_header(n_samples: int, rate: int) -> bytes:
 
 def write_wav_f32(path, samples: np.ndarray, rate_hz: float) -> None:
     """Write a mono float32 WAV (format tag 3) with a fact chunk."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1:
-        raise ValidationError("WAV writer takes a mono sample vector")
+    samples = check_array("samples", samples, 1)
     rate = int(round(check_rate("rate_hz", rate_hz)))
     if not 0 < rate <= _WAV_MAX_RATE:
         raise ValidationError(f"WAV sample rate must round to an integer in "
@@ -448,7 +450,8 @@ def write_wideband(signal: WidebandSignal, path, format: Optional[str] = None) -
 
 def read_wideband(path) -> WidebandSignal:
     """Reload a wideband signal; raw-f64 is bit-exact, wav-f32 carries only
-    the f32 quantization (~1e-7 relative)."""
+    the f32 quantization (~1e-7 relative). The signal adopts the array the
+    read builds instead of copying it."""
     header = SidecarHeader.from_payload(_read_sidecar(path, "wideband"))
     n_out = header.n_out
     if header.data_format == "raw-f64":
@@ -457,14 +460,14 @@ def read_wideband(path) -> WidebandSignal:
             samples.real, samples.imag = _read_raw(path, (2, n_out))
         else:
             samples = _read_raw(path, (n_out,))
-        return WidebandSignal(samples, header.target_rate_hz, header)
+        return WidebandSignal._adopt(samples, header.target_rate_hz, header)
     rate, samples = read_wav_f32(path)
     if rate != int(round(header.target_rate_hz)):
         raise FormatError(f"{path}: WAV rate {rate} disagrees with sidecar "
                           f"target_rate_hz {header.target_rate_hz}")
     if samples.shape[0] != n_out:
         raise FormatError(f"{path}: expected {n_out} samples, found {samples.shape[0]}")
-    return WidebandSignal(samples, header.target_rate_hz, header)
+    return WidebandSignal._adopt(samples, header.target_rate_hz, header)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +481,7 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
     e.g. spectrogram window settings. CSV refuses an entry that its reader
     would not give back unchanged.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValidationError(f"matrix must be 2-D, got shape {m.shape}")
+    m = check_array("matrix", matrix, 2)
     if not np.isfinite(m).all():
         bad = np.argwhere(~np.isfinite(m))[0]
         raise ValidationError(f"non-finite matrix entry at {tuple(int(v) for v in bad)}")

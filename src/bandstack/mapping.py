@@ -61,6 +61,7 @@ from bandstack.model import (
     StackedSpectrum,
     TransformConfig,
     ValidationError,
+    check_array,
     check_counts,
     check_geometry,
     check_rate,
@@ -261,19 +262,15 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
 def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:
     """Write every channel's spectrum into its band of the wideband spectrum.
 
-    ``spectra`` holds channel c's n bins in row c: a (p, n) array or a
-    sequence of p ChannelSpectrum. Bands are filled bottom-up; within a band,
+    ``spectra`` holds channel c's n bins in row c: a (p, n) array, or a list
+    or tuple of p ChannelSpectrum. Bands are filled bottom-up; within a band,
     source bins ascend; later writes overwrite earlier ones.
     ``plan.stacking_order[b]`` picks which channel occupies band b.
     """
-    try:
-        rows = spectra if isinstance(spectra, np.ndarray) else [s.bins for s in spectra]
-        bins = np.asarray(rows, dtype=np.complex128)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"spectra must be {plan.p} rows of {plan.n_samples} bins: a (p, n) array "
-            f"or a sequence of ChannelSpectrum") from exc
-    if bins.ndim != 2 or bins.shape[0] != plan.p:
+    if isinstance(spectra, (list, tuple)):
+        spectra = [getattr(s, "bins", s) for s in spectra]
+    bins = check_array("spectrum bins", spectra, 2, np.complex128)
+    if bins.shape[0] != plan.p:
         raise ValidationError(f"plan is for {plan.p} channels, got {len(bins)} spectra")
     if bins.shape[1] != plan.n_samples:
         raise ValidationError(

@@ -6,6 +6,8 @@ across threads, and all but BandPlan (built by mapping.build_band_plan) check
 their fields on construction. Each configuration field has one checker here
 (``check_rate``, ``check_counts``, ``check_mode``, ``check_order``, and for a
 whole configuration ``check_geometry``), which every caller that takes it calls.
+Other integers have ``check_integer``, and arrays of numbers ``check_array``,
+which constructors follow with one C-order copy that they lock.
 
 Conventions: channel and band indices are 0-based everywhere in this library;
 the CLI and file sidecars use 1-based channel numbering and say so.
@@ -83,6 +85,14 @@ def check_counts(p, n_samples=2) -> tuple[int, int]:
     return counts
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer (``operator.index`` takes it)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_mode(mode) -> None:
     """Refuse a mode that is not one of MODES."""
     if mode not in MODES:
@@ -100,6 +110,28 @@ def check_order(order, p: int) -> tuple[int, ...]:
         raise ValidationError(f"stacking_order must be a permutation of 0..{p - 1} "
                               f"(0-based), got {order!r}")
     return entries
+
+
+def check_array(name: str, values, ndim: int, dtype=np.float64) -> np.ndarray:
+    """``values`` as an ``ndim``-D array of numbers, copied only to convert:
+    float64 takes bool, int and float; complex128 also complex; None keeps
+    complex input complex128 and makes the rest float64. Ragged nesting, str
+    or object values (a None entry) and complex where reals are wanted are refused."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy's refusal of ragged nesting
+        raise ValidationError(f"{name} must be a {ndim}-D array of numbers, "
+                              f"got ragged nesting") from None
+    kind = array.dtype.kind
+    if kind not in "biufc":
+        raise ValidationError(f"{name} must hold numbers, got {array.dtype} values")
+    if dtype is None:
+        dtype = np.complex128 if kind == "c" else np.float64
+    if kind == "c" and dtype != np.complex128:
+        raise ValidationError(f"{name} must be real, got complex values")
+    if array.ndim != ndim:
+        raise ValidationError(f"{name} must be a {ndim}-D array, got shape {array.shape}")
+    return array.astype(dtype, copy=False)
 
 
 _MAX_N_OUT = 2**48  # keeps the float rounding of mapping.stack_fast below half a bin
@@ -152,12 +184,6 @@ def source_frequencies(n_samples: int, source_rate_hz: float) -> np.ndarray:
     return np.arange(n_samples, dtype=np.float64) * step
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 def _as_locked(a: np.ndarray) -> np.ndarray:
     """Read-only view of a read-only array that owns its data.
 
@@ -185,7 +211,7 @@ class MultiChannelRecord:
     channel_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        self._settle(_coerce_channels(self.channels))
+        self._settle(np.array(check_array("channels", self.channels, 2), order="C"))
 
     @classmethod
     def _adopt(cls, channels: np.ndarray, sample_rate_hz: float,
@@ -193,16 +219,16 @@ class MultiChannelRecord:
         """A record that takes ownership of ``channels``, a fresh C-contiguous
         float64 (p, n) array no one else writes: checked as the constructor
         checks it, but locked instead of copied."""
-        _check_channels(channels)
         record = object.__new__(cls)
         object.__setattr__(record, "sample_rate_hz", sample_rate_hz)
         object.__setattr__(record, "channel_names", channel_names)
-        record._settle(_as_locked(channels))
+        record._settle(channels)
         return record
 
     def _settle(self, rows: np.ndarray) -> None:
-        """Store checked channel rows, then check the other fields."""
-        object.__setattr__(self, "channels", rows)
+        """Check and lock fresh C-contiguous float64 rows, then the other fields."""
+        _check_channels(rows)
+        object.__setattr__(self, "channels", _as_locked(rows))
         object.__setattr__(self, "sample_rate_hz",
                            check_rate("sample_rate_hz", self.sample_rate_hz))
         if self.channel_names is not None:
@@ -223,21 +249,6 @@ class MultiChannelRecord:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
-
-
-def _coerce_channels(channels) -> np.ndarray:
-    if isinstance(channels, np.ndarray) and channels.ndim == 2:
-        rows = channels.astype(np.float64, copy=True)
-    else:
-        seq = list(channels)
-        if not seq:
-            raise ValidationError("at least one channel is required")
-        lengths = [len(c) for c in seq]
-        if len(set(lengths)) != 1:
-            raise ValidationError(f"ragged channels: lengths {lengths}")
-        rows = np.asarray(seq, dtype=np.float64)
-    _check_channels(rows)
-    return _as_readonly(rows)
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -276,27 +287,20 @@ class ChannelSpectrum:
 
     Bin k sits at frequency ``k * source_rate_hz / (n - 1)``, the stretch
     grid used by the mapping stage, which spans the full rate inclusively.
-    When ``real_source`` is set the bins are checked for conjugate symmetry.
     """
 
     bins: np.ndarray
     source_rate_hz: float
-    real_source: bool = False
 
     def __post_init__(self):
-        bins = np.array(self.bins, dtype=np.complex128)  # never the caller's array
-        if bins.ndim != 1 or bins.shape[0] < 2:
+        bins = np.array(check_array("bins", self.bins, 1, np.complex128), order="C")
+        if bins.shape[0] < 2:
             raise ValidationError(f"spectrum needs >= 2 bins, got shape {bins.shape}")
         if not _all_finite(bins.view(np.float64)):  # contiguous after the copy
             raise ValidationError("non-finite spectrum bin")
-        rate = check_rate("source_rate_hz", self.source_rate_hz)
-        if self.real_source:
-            mirror = np.conj(bins[-1:0:-1])
-            tol = 1e-9 * max(np.abs(bins).max(), 1.0)
-            if not np.allclose(bins[1:], mirror, atol=tol, rtol=0):
-                raise ValidationError("spectrum of a real channel must be conjugate-symmetric")
-        object.__setattr__(self, "bins", _as_readonly(bins))
-        object.__setattr__(self, "source_rate_hz", rate)
+        object.__setattr__(self, "bins", _as_locked(bins))
+        object.__setattr__(self, "source_rate_hz",
+                           check_rate("source_rate_hz", self.source_rate_hz))
 
     @property
     def n(self) -> int:
@@ -414,11 +418,11 @@ class StackedSpectrum:
     rate_hz: float
 
     def __post_init__(self):
-        bins = np.array(self.bins, dtype=np.complex128)  # never the caller's array
-        if bins.ndim != 1 or bins.shape[0] < 2:
+        bins = np.array(check_array("bins", self.bins, 1, np.complex128), order="C")
+        if bins.shape[0] < 2:
             raise ValidationError(f"stacked spectrum needs >= 2 bins, got shape {bins.shape}")
         object.__setattr__(self, "rate_hz", check_rate("rate_hz", self.rate_hz))
-        object.__setattr__(self, "bins", _as_readonly(bins))
+        object.__setattr__(self, "bins", _as_locked(bins))
 
     @property
     def n_out(self) -> int:
@@ -440,9 +444,7 @@ class WidebandSignal:
     provenance: "SidecarHeader"
 
     def __post_init__(self):
-        samples = np.asarray(self.samples)
-        dtype = np.complex128 if samples.dtype.kind == "c" else np.float64
-        self._settle(samples.astype(dtype, copy=True), _as_readonly)
+        self._settle(np.array(check_array("samples", self.samples, 1, None), order="C"))
 
     @classmethod
     def _adopt(cls, samples: np.ndarray, rate_hz: float,
@@ -453,13 +455,13 @@ class WidebandSignal:
         signal = object.__new__(cls)
         object.__setattr__(signal, "rate_hz", rate_hz)
         object.__setattr__(signal, "provenance", provenance)
-        signal._settle(samples, _as_locked)
+        signal._settle(samples)
         return signal
 
-    def _settle(self, samples: np.ndarray, protect) -> None:
-        """Check contiguous samples and the other fields, then store the
-        samples made read-only by ``protect``."""
-        if samples.ndim != 1 or samples.shape[0] < 2:
+    def _settle(self, samples: np.ndarray) -> None:
+        """Check a fresh contiguous float64 or complex128 sample vector that
+        no one else writes and the other fields, then store it locked."""
+        if samples.shape[0] < 2:
             raise ValidationError(f"wideband signal needs >= 2 samples, got {samples.shape}")
         if not _all_finite(samples.view(np.float64)):
             raise ValidationError("non-finite wideband sample")
@@ -472,7 +474,7 @@ class WidebandSignal:
         if rate_hz != self.provenance.target_rate_hz:
             raise ValidationError(f"provenance says {self.provenance.target_rate_hz!r} Hz, "
                                   f"got rate_hz={rate_hz!r}")
-        object.__setattr__(self, "samples", protect(samples))
+        object.__setattr__(self, "samples", _as_locked(samples))
         object.__setattr__(self, "rate_hz", rate_hz)
 
     @property

@@ -17,14 +17,15 @@ that would need a large temporary stream their rows through blocks of about
 changes no value. ``forward_fft`` and
 ``hermitian_extend`` are the one-channel reference path: the tests and the
 benchmark's replay check (perfbench/workloads.py) compare encode and decode
-against it.
+against it. Their input goes through ``model.check_array``; ``forward_fft``
+refuses complex values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bandstack.model import ChannelSpectrum, ValidationError
+from bandstack.model import ChannelSpectrum, ValidationError, check_array
 
 # Bytes of temporaries one block of rows may take. For the STFT at 160000
 # samples, window 1024, blocks of 256 KiB to 1 MiB ran within 6% of each
@@ -42,8 +43,8 @@ def block_rows(row_bytes: int, rows: int) -> int:
 
 def dft(x: np.ndarray) -> np.ndarray:
     """Unnormalized forward DFT of a real or complex vector."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] < 2:
+    x = check_array("x", x, 1, None)
+    if x.shape[0] < 2:
         raise ValidationError(f"dft input must be a vector of length >= 2, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValidationError("non-finite dft input")
@@ -52,14 +53,13 @@ def dft(x: np.ndarray) -> np.ndarray:
 
 def forward_fft(channel: np.ndarray, source_rate_hz: float = 1.0) -> ChannelSpectrum:
     """Transform one real channel; bins satisfy conjugate symmetry."""
-    x = np.asarray(channel, dtype=np.float64)
-    return ChannelSpectrum(dft(x), source_rate_hz, real_source=True)
+    return ChannelSpectrum(dft(check_array("channel", channel, 1)), source_rate_hz)
 
 
 def inverse_fft(bins: np.ndarray) -> np.ndarray:
     """1/M-normalized inverse DFT; exact inverse of the forward sum."""
-    b = np.asarray(bins, dtype=np.complex128)
-    if b.ndim != 1 or b.shape[0] < 2:
+    b = check_array("bins", bins, 1, np.complex128)
+    if b.shape[0] < 2:
         raise ValidationError(f"inverse_fft input must be a vector of length >= 2, got {b.shape}")
     if not np.isfinite(b).all():
         raise ValidationError("non-finite inverse_fft input")
@@ -74,8 +74,8 @@ def hermitian_extend(lower: np.ndarray) -> np.ndarray:
     bins real by dropping their imaginary parts, so the inverse transform
     of the result is real to machine precision.
     """
-    b = np.asarray(lower, dtype=np.complex128)
-    if b.ndim != 1 or b.shape[0] < 2:
+    b = check_array("lower", lower, 1, np.complex128)
+    if b.shape[0] < 2:
         raise ValidationError(f"hermitian_extend needs a vector of length >= 2, got {b.shape}")
     m = b.shape[0]
     half = m // 2

@@ -17,7 +17,9 @@ from bandstack.features import EEG_BANDS
 from bandstack.model import (
     MultiChannelRecord,
     ValidationError,
+    check_array,
     check_counts,
+    check_integer,
     check_rate,
     source_frequencies,
 )
@@ -37,7 +39,12 @@ def make_tones(p: int, n_samples: int, sample_rate_hz: float,
     t = np.arange(n_samples) / sample_rate_hz
     channels = np.zeros((p, n_samples))
     for i, entries in enumerate(tones):
-        for freq, amplitude, phase in entries:
+        for tone in entries:
+            tone = check_array(f"channel {i} tone", tone, 1)
+            if tone.shape != (3,):
+                raise ValidationError(f"channel {i}: a tone is (frequency, amplitude, "
+                                      f"phase), got {tone.shape[0]} fields")
+            freq, amplitude, phase = tone.tolist()
             for name, v in (("frequency", freq), ("amplitude", amplitude), ("phase", phase)):
                 if not math.isfinite(v):
                     raise ValidationError(f"channel {i}: tone {name} is not finite: {v!r}")
@@ -63,11 +70,11 @@ def make_bandnoise(p: int, n_samples: int, sample_rate_hz: float,
     A band reaching above Nyquist is truncated there and flagged; a band
     starting at or above Nyquist is an error.
     """
-    if band not in EEG_BANDS:
+    if not isinstance(band, str) or band not in EEG_BANDS:
         raise ValidationError(f"unknown band {band!r}; expected one of {sorted(EEG_BANDS)}")
     p, n = check_counts(p, n_samples)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if check_integer("seed", seed) < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     sample_rate_hz = check_rate("sample rate", sample_rate_hz)
     lo, hi = EEG_BANDS[band]
     nyquist = sample_rate_hz / 2.0

@@ -257,7 +257,13 @@ def test_band_energies_all_bands_absent():
 
 def test_band_energies_recheck_a_mutated_record():
     rec = MultiChannelRecord(np.random.default_rng(11).standard_normal((2, 64)), 250.0)
-    rec.channels.setflags(write=True)
-    rec.channels[1, 5] = np.nan
+    rec.channels.base.setflags(write=True)  # the locked view's owner
+    rec.channels.base[1, 5] = np.nan
     with pytest.raises(ValidationError, match="non-finite sample at channel 1, index 5"):
         band_energies(rec)
+
+
+@pytest.mark.parametrize("overlap", [10, 11])
+def test_frame_count_refuses_an_overlap_that_leaves_no_hop(overlap):
+    with pytest.raises(ValidationError, match="overlap must satisfy 0 <= overlap < window"):
+        frame_count(100, 10, overlap)

@@ -812,3 +812,38 @@ def test_wav_rate_sidecar_mismatch(tmp_path):
                                          '"target_rate_hz": 200.0'))
     with pytest.raises(FormatError, match="disagrees"):
         bio.read_wideband(path)
+
+
+def test_csv_record_read_copies_the_channels_once(tmp_path):
+    # the parsed (n, p) table and the record's C-order copy of its transpose;
+    # a second copy of the channels would reach 3x
+    rec = random_record(np.random.default_rng(12), 8, 15000, 250.0)
+    path = tmp_path / "rec.csv"
+    bio.write_multichannel(rec, path)
+    tracemalloc.start()
+    try:
+        back = bio.read_multichannel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.channels, rec.channels)
+    assert peak <= 2.5 * rec.channels.nbytes
+
+
+@pytest.mark.parametrize("name", ["wide.wav", "wide.f64"])
+def test_wideband_read_adopts_the_array_it_builds(tmp_path, name):
+    # WAV: the file's bytes (4 per sample) and the float64 samples (8 per
+    # sample); raw-f64: the samples alone. A copy would add 8 per sample.
+    sig = encode(random_record(np.random.default_rng(13), 8, 15000, 250.0),
+                 TransformConfig(4000.0, 8))
+    assert sig.n_out == 240_000
+    path = tmp_path / name
+    bio.write_wideband(sig, path)
+    tracemalloc.start()
+    try:
+        back = bio.read_wideband(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n_out == sig.n_out and not back.samples.flags.writeable
+    assert peak <= 1.6 * 8 * sig.n_out

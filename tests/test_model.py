@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bandstack import io as bio
 from bandstack.bench import run_mapping_benchmark
-from bandstack.mapping import build_band_plan, stack_fast, stack_oracle
+from bandstack.features import stft_magnitude
+from bandstack.mapping import apply_stacking, build_band_plan, stack_fast, stack_oracle
 from bandstack.model import (
     ChannelSpectrum,
     MultiChannelRecord,
@@ -15,6 +17,7 @@ from bandstack.model import (
     TransformConfig,
     ValidationError,
     WidebandSignal,
+    check_array,
     check_geometry,
     destination_grid,
     output_length,
@@ -22,6 +25,7 @@ from bandstack.model import (
     validate_record,
 )
 from bandstack.sidecar import SidecarHeader, read_sidecar
+from bandstack.spectrum import dft, forward_fft, hermitian_extend, inverse_fft
 from bandstack.synth import make_bandnoise, make_tones
 
 
@@ -59,9 +63,9 @@ def test_validate_record_checks_in_place():
     finally:
         tracemalloc.stop()
     assert peak < rec.channels.nbytes // 100
-    # a record whose array was made writable and changed afterwards
-    rec.channels.setflags(write=True)
-    rec.channels[1, 3] = np.inf
+    # a record whose array's owner was made writable and changed afterwards
+    rec.channels.base.setflags(write=True)
+    rec.channels.base[1, 3] = np.inf
     with pytest.raises(ValidationError, match="non-finite sample at channel 1, index 3"):
         validate_record(rec)
 
@@ -95,17 +99,6 @@ def test_channel_names_length_checked():
         MultiChannelRecord(np.zeros((2, 4)), 4.0, channel_names=("only-one",))
 
 
-def test_spectrum_symmetry_enforced_for_real_sources():
-    bins = np.fft.fft(np.array([1.0, 2.0, 3.0, 4.0]))
-    spec = ChannelSpectrum(bins, 4.0, real_source=True)
-    assert spec.n == 4
-    broken = bins.copy()
-    broken[1] += 1.0  # breaks conjugate pairing with bin 3
-    with pytest.raises(ValidationError, match="conjugate"):
-        ChannelSpectrum(broken, 4.0, real_source=True)
-    ChannelSpectrum(broken, 4.0)  # unconstrained spectra may be asymmetric
-
-
 @pytest.mark.parametrize("make", [lambda b: ChannelSpectrum(b, 4.0),
                                   lambda b: StackedSpectrum(b, 4.0)],
                          ids=["ChannelSpectrum", "StackedSpectrum"])
@@ -118,7 +111,7 @@ def test_spectrum_types_leave_the_callers_array_writable(make):
 
 
 def test_bin_frequency_grid_is_inclusive():
-    spec = ChannelSpectrum(np.fft.fft(np.zeros(5) + 1.0), 40.0, real_source=True)
+    spec = ChannelSpectrum(np.fft.fft(np.zeros(5) + 1.0), 40.0)
     assert spec.bin_frequency(0) == 0.0
     assert spec.bin_frequency(4) == pytest.approx(40.0)  # grid spans 0..rate
     assert spec.bin_frequency(1) == pytest.approx(10.0)
@@ -358,3 +351,90 @@ def test_geometry_entry_points_refuse_with_validation_error(call):
 def test_the_mapping_benchmark_stores_integer_bands_as_plain_ints():
     report = run_mapping_benchmark(2, 8, 8.0, 48.0, bands=np.arange(2), include_scan=False)
     assert report.bands == (0, 1) and all(type(b) is int for b in report.bands)
+
+
+# Every public entry point that takes numbers, as (call with v, the argument's
+# name, v's ndim, whether it takes complex values); ``d`` is a scratch folder.
+_ARRAY_ENTRY_POINTS = {
+    "MultiChannelRecord": (lambda v, d: MultiChannelRecord(v, 8.0), "channels", 2, False),
+    "WidebandSignal": (lambda v, d: WidebandSignal(v, 48.0, _header()), "samples", 1, True),
+    "ChannelSpectrum": (lambda v, d: ChannelSpectrum(v, 8.0), "bins", 1, True),
+    "StackedSpectrum": (lambda v, d: StackedSpectrum(v, 8.0), "bins", 1, True),
+    "stft_magnitude": (lambda v, d: stft_magnitude(v, 2, 0), "samples", 1, False),
+    "write_wav_f32": (lambda v, d: bio.write_wav_f32(d / "x.wav", v, 8.0), "samples", 1, False),
+    "write_matrix": (lambda v, d: bio.write_matrix(v, d / "m.csv"), "matrix", 2, False),
+    "dft": (lambda v, d: dft(v), "x", 1, True),
+    "forward_fft": (lambda v, d: forward_fft(v), "channel", 1, False),
+    "inverse_fft": (lambda v, d: inverse_fft(v), "bins", 1, True),
+    "hermitian_extend": (lambda v, d: hermitian_extend(v), "lower", 1, True),
+    "apply_stacking": (
+        lambda v, d: apply_stacking(v, build_band_plan(2, 2, 4.0, TransformConfig(16.0, 2))),
+        "spectrum bins", 2, True),
+}
+
+# bad input -> its row for a 1-D entry point (2-D ones get two such rows)
+_BAD_ROWS = {
+    "complex": [1.0, 2j],
+    "strings": ["1", "2"],
+    "None": [1.0, None],
+}
+
+
+def _bad_inputs():
+    for entry, (_, name, ndim, takes_complex) in _ARRAY_ENTRY_POINTS.items():
+        for case, row in _BAD_ROWS.items():
+            if not (case == "complex" and takes_complex):
+                yield pytest.param(entry, row if ndim == 1 else [row, row], name,
+                                   id=f"{entry}-{case}")
+        yield pytest.param(entry, [[1.0, 2.0], [3.0]], name, id=f"{entry}-ragged")
+        wrong = [[1.0, 2.0], [3.0, 4.0]] if ndim == 1 else [1.0, 2.0]
+        yield pytest.param(entry, wrong, name, id=f"{entry}-wrong-ndim")
+
+
+@pytest.mark.parametrize("entry, values, name", _bad_inputs())
+def test_array_entry_points_refuse_what_is_not_their_array_of_numbers(
+        entry, values, name, tmp_path):
+    call = _ARRAY_ENTRY_POINTS[entry][0]
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)} must "):
+        call(values, tmp_path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)} must "):
+        call(np.array(values, dtype=object), tmp_path)
+    assert not any(tmp_path.iterdir())  # a refused writer writes nothing
+
+
+def test_check_array_converts_numbers_and_copies_only_to_convert():
+    a = np.arange(6.0).reshape(2, 3).T
+    assert check_array("a", a, 2) is a
+    assert check_array("a", [[True, 2], [3, 4.5]], 2).dtype == np.float64
+    assert check_array("a", np.ones(3, np.float32), 1, np.complex128).dtype == np.complex128
+    assert check_array("a", [1, 2j], 1, None).dtype == np.complex128
+    assert check_array("a", np.arange(3), 1, None).dtype == np.float64
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MultiChannelRecord(np.zeros((2, 4)), 4.0).channels,
+    lambda: MultiChannelRecord(np.zeros((4, 2)).T, 4.0).channels,
+    lambda: MultiChannelRecord([[1, 2], [3, 4]], 4.0).channels,
+    lambda: WidebandSignal(np.zeros(48), 48.0, _header()).samples,
+    lambda: WidebandSignal(np.zeros(48, dtype=complex), 48.0, _header()).samples,
+    lambda: ChannelSpectrum(np.zeros(4), 4.0).bins,
+    lambda: StackedSpectrum(np.zeros(4, dtype=complex), 4.0).bins,
+], ids=["record", "record-transposed", "record-list", "signal", "signal-complex",
+        "ChannelSpectrum", "StackedSpectrum"])
+def test_constructor_arrays_cannot_be_unlocked(make):
+    array = make()
+    assert array.flags.c_contiguous
+    with pytest.raises(ValueError):
+        array.setflags(write=True)
+
+
+def test_a_transposed_record_is_copied_once():
+    a = np.random.default_rng(5).standard_normal((100_000, 4))
+    tracemalloc.start()
+    try:
+        rec = MultiChannelRecord(a.T, 8.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rec.channels, a.T)
+    assert peak <= 1.1 * a.nbytes

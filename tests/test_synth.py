@@ -124,3 +124,17 @@ def test_generators_refuse_a_bad_rate_before_any_arithmetic(rate):
 def test_non_finite_tone_fields_are_refused_by_name(tone, name):
     with pytest.raises(ValidationError, match=f"tone {name} is not finite"):
         make_tones(1, 64, 250.0, [[tone]])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: make_bandnoise(1, 64, 250.0, "alpha", seed=1.5), "seed"),
+    (lambda: make_bandnoise(1, 64, 250.0, "alpha", seed="1"), "seed"),
+    (lambda: make_bandnoise(1, 64, 250.0, "alpha", seed=None), "seed"),
+    (lambda: make_bandnoise(1, 64, 250.0, ["alpha"]), "band"),
+    (lambda: make_tones(1, 64, 250.0, [[(5.0, 1.0)]]), "tone"),
+    (lambda: make_tones(1, 64, 250.0, [[(5.0, "1", 0.0)]]), "tone"),
+], ids=["seed-float", "seed-str", "seed-None", "band-list", "tone-two-fields",
+        "tone-str-amplitude"])
+def test_generators_refuse_malformed_arguments_by_name(call, name):
+    with pytest.raises(ValidationError, match=name):
+        call()
