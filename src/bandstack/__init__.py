@@ -26,7 +26,7 @@ from bandstack.model import (
     output_length,
     validate_record,
 )
-from bandstack.mapping import apply_stacking, build_band_plan, stack_fast, stack_oracle
+from bandstack.mapping import apply_stacking, build_band_plan, stack_fast
 from bandstack.sidecar import SidecarHeader
 from bandstack.transform import RoundtripReport, decode, encode, roundtrip_report
 
@@ -58,7 +58,6 @@ __all__ = [
     "output_length",
     "roundtrip_report",
     "stack_fast",
-    "stack_oracle",
     "validate_record",
     "__version__",
 ]

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: encode, decode, verify, spectrogram, synth, info, bench.
+Subcommands: encode, decode, verify, spectrogram, synth, info.
 Channel numbering on this surface is 1-based. Exit codes are a stable
 contract: 0 success, 1 I/O failure or out of memory, 2 validation/format
 failure (also used when `verify` exceeds its error threshold), 3 infeasible
@@ -16,7 +16,6 @@ import sys
 import warnings
 
 from bandstack import io as bio
-from bandstack.bench import run_mapping_benchmark
 from bandstack.features import spectrogram, spectrogram_meta
 from bandstack.mapping import build_band_plan
 from bandstack.model import (
@@ -187,18 +186,6 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    bands = None if args.bands is None else range(args.bands)
-    report = run_mapping_benchmark(
-        p=args.channels, n_samples=args.samples, source_rate_hz=args.rate,
-        target_rate_hz=args.target_rate, bands=bands, include_scan=not args.no_scan)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.format_table())
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandstack",
@@ -266,18 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="print the sidecar of an artifact file")
     info.add_argument("path")
     info.set_defaults(func=cmd_info)
-
-    ben = sub.add_parser("bench", help="time brute-force vs closed-form mapping")
-    ben.add_argument("--channels", "-p", type=int, default=30)
-    ben.add_argument("--samples", "-n", type=int, default=10000)
-    ben.add_argument("--rate", type=float, default=1000.0)
-    ben.add_argument("--target-rate", type=float, default=16000.0)
-    ben.add_argument("--bands", type=int, default=None,
-                     help="only benchmark the first K bands")
-    ben.add_argument("--no-scan", action="store_true",
-                     help="skip the brute-force baseline")
-    ben.add_argument("--json", action="store_true")
-    ben.set_defaults(func=cmd_bench)
 
     return parser
 

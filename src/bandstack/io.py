@@ -96,13 +96,18 @@ def _write_raw(path, array: np.ndarray) -> None:
 
 def _read_raw(path, shape: tuple[int, ...]) -> np.ndarray:
     """Read a raw-f64 file that must hold exactly ``shape`` doubles. A regular
-    file's size is checked before any of it is read. A 1-D shape returns the
-    array that owns the data, so a signal can adopt it without a copy."""
+    file's size is checked before any of it is read, and the file is read
+    into an array of ``shape`` that owns its data, so a record or signal can
+    adopt it without a copy."""
     size = math.prod(shape)
     found = os.path.getsize(path) if os.path.isfile(path) else None
-    if found is None or found == 8 * size:
+    if found is None:  # not a regular file: np.fromfile reads it or raises
         data = np.fromfile(path, dtype="<f8")
         found = data.nbytes
+    elif found == 8 * size:
+        data = np.empty(shape, dtype="<f8")
+        with open(path, "rb") as fh:
+            found = fh.readinto(data)
     if found != 8 * size:
         want = "*".join(map(str, shape)) + (f"={size}" if len(shape) > 1 else "")
         stray = f" and {found % 8} stray bytes" if found % 8 else ""
@@ -266,9 +271,9 @@ def read_multichannel(path, format: Optional[str] = None,
     if _resolve_format(path, format, "record") == "csv":
         return _read_csv_record(path, rate_hz)
     payload = _read_sidecar(path, "record")
-    return MultiChannelRecord(_read_raw(path, (payload["p"], payload["n_samples"])),
-                              float(payload["source_rate_hz"]),
-                              channel_names=payload.get("channel_names") or None)
+    return MultiChannelRecord._adopt(_read_raw(path, (payload["p"], payload["n_samples"])),
+                                     float(payload["source_rate_hz"]),
+                                     payload.get("channel_names") or None)
 
 
 def _read_csv_record(path, rate_hz):

@@ -9,13 +9,15 @@ assigned to the nearest destination bin of linspace(0, F_s, n_out). Exactly,
 that bin is the integer quotient round_half_up(m (n_out-1) / (2p(n-1))) with
 m = b(n-1) + k; ties go to the larger bin unless float rounding decides.
 
-Two per-band assignment paths, both checked by ``model.check_geometry``:
-
-  * ``stack_oracle`` - scans all n_out float grid points per float
-    stretched frequency, O(n * n_out). Kept as the behavioral reference.
-  * ``stack_fast`` - the int64 quotient, O(1) per bin, with the scan's float
-    comparison kept at the few bins where rounding decides; bitwise-equal,
-    orders of magnitude faster (see bandstack.bench).
+One per-band assignment kernel, ``stack_fast``, computes that contract:
+the nearest bin of linspace(0, F_s, n_out) to the float stretched frequency,
+the larger bin winning ties. It takes the int64 quotient, O(1) per bin, and
+repeats the float comparison only at the few bins where rounding decides. A
+scan of every grid point per source bin computes the same contract in
+O(n * n_out); the tests keep that scan (tests/helpers.py) and check
+``stack_fast`` against it bit for bit (acceptance criterion C2 and
+tests/test_kernels.py). ``model.check_geometry`` bounds the configurations
+where the quotient is exact.
 
 ``build_band_plan`` runs ``stack_fast`` once over a column of all p bands
 and stores one (p, n) matrix. Decode rebuilds the plan from the sidecar, so
@@ -52,7 +54,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from bandstack._kernels import nearest_indices_scan
 from bandstack.model import (
     MODE_STRICT_LOSSLESS,
     BandPlan,
@@ -65,46 +66,15 @@ from bandstack.model import (
     check_counts,
     check_geometry,
     check_rate,
-    destination_grid,
-    source_frequencies,
 )
-
-
-def stretched_frequencies(n_samples: int, source_rate_hz: float,
-                          band_width_hz: float, band_index) -> np.ndarray:
-    """Source grid compressed into band ``band_index``: l_f + freq * (f_band/f_s).
-
-    A column of band indices, shape (k, 1), gives one row per band.
-    """
-    offset = band_index * band_width_hz
-    ratio = band_width_hz / source_rate_hz
-    return offset + source_frequencies(n_samples, source_rate_hz) * ratio
-
-
-def _band_geometry(p, n_samples, source_rate_hz, target_rate_hz, band_index):
-    """n_out and the band width of a configuration ``check_geometry``
-    accepts, for one integer band index in 0..p-1 or a (k, 1) column of them."""
-    n_out = check_geometry(p, n_samples, source_rate_hz, target_rate_hz)
-    bands = np.asarray(band_index)
-    bad = bands if bands.dtype.kind not in "iu" else bands[(bands < 0) | (bands >= p)]
-    if bad.size:
-        raise ValidationError(f"band index {bad.flat[0]} is not an integer in 0..{p - 1}")
-    return n_out, float(target_rate_hz) / (2 * p)
-
-
-def stack_oracle(p: int, n_samples: int, source_rate_hz: float,
-                 target_rate_hz: float, band_index: int) -> np.ndarray:
-    """Assignment for one band by exhaustive nearest-frequency search."""
-    n_out, band_width = _band_geometry(p, n_samples, source_rate_hz,
-                                       target_rate_hz, band_index)
-    targets = stretched_frequencies(n_samples, source_rate_hz, band_width, band_index)
-    return nearest_indices_scan(targets, destination_grid(n_out, target_rate_hz))
 
 
 def stack_fast(p: int, n_samples: int, source_rate_hz: float,
                target_rate_hz: float, band_index) -> np.ndarray:
-    """Assignment for one band, or one row per band for a (k, 1) column;
-    bitwise-equal to stack_oracle.
+    """Assignment for one band, or one row per band for a (k, 1) column of
+    integer band indices in 0..p-1: the nearest bin of linspace(0, F_s,
+    n_out) to each float stretched frequency, the larger bin on a tie, as a
+    scan of every grid point comparing with <= finds it.
 
     With den = 2p(n-1) and m = b(n-1) + k, bin k of band b lies x =
     m (n_out-1)/den grid steps up; q, r = divmod(2m(n_out-1) + den, 2 den),
@@ -123,8 +93,12 @@ def stack_fast(p: int, n_samples: int, source_rate_hz: float,
     ``model.check_geometry``) keeps |E| under a quarter bin, the scan's
     comparison of the two bins around their midpoint decides them.
     """
-    n_out, band_width = _band_geometry(p, n_samples, source_rate_hz,
-                                       target_rate_hz, band_index)
+    n_out = check_geometry(p, n_samples, source_rate_hz, target_rate_hz)
+    bands = np.asarray(band_index)
+    bad = bands if bands.dtype.kind not in "iu" else bands[(bands < 0) | (bands >= p)]
+    if bad.size:
+        raise ValidationError(f"band index {bad.flat[0]} is not an integer in 0..{p - 1}")
+    band_width = float(target_rate_hz) / (2 * p)
     den = 2 * p * (n_samples - 1)
     bands, bins = np.broadcast_arrays(np.asarray(band_index, np.int64), np.arange(n_samples))
     # Two named temporaries leave a hole below q, the long-lived plan, that fits

@@ -25,13 +25,20 @@ from bandstack.model import (
 )
 
 
+def _as_list(name: str, items) -> list:
+    try:
+        return list(items)
+    except TypeError as exc:
+        raise ValidationError(f"{name} must be a list, got {items!r}") from exc
+
+
 def make_tones(p: int, n_samples: int, sample_rate_hz: float,
                tones) -> MultiChannelRecord:
     """Cosine mixture record: ``tones[i]`` lists (freq_hz, amplitude, phase)
     for channel i. Channels with an empty list stay zero.
     """
     p, n_samples = check_counts(p, n_samples)
-    tones = list(tones)
+    tones = _as_list("tone table", tones)
     if len(tones) != p:
         raise ValidationError(f"tone table has {len(tones)} entries for p={p} channels")
     sample_rate_hz = check_rate("sample rate", sample_rate_hz)
@@ -39,7 +46,7 @@ def make_tones(p: int, n_samples: int, sample_rate_hz: float,
     t = np.arange(n_samples) / sample_rate_hz
     channels = np.zeros((p, n_samples))
     for i, entries in enumerate(tones):
-        for tone in entries:
+        for tone in _as_list(f"channel {i} tone list", entries):
             tone = check_array(f"channel {i} tone", tone, 1)
             if tone.shape != (3,):
                 raise ValidationError(f"channel {i}: a tone is (frequency, amplitude, "

@@ -2,7 +2,10 @@
 
 Nothing here may call into the code paths it checks: the DFT oracle is the
 direct quadratic sum (no FFT), the nearest-bin oracle is a literal
-scan-every-candidate loop, the stacking and collision oracles are the
+scan-every-candidate loop, the band assignment oracle (``stack_oracle``) is
+the float scan of every grid point that the integer-quotient kernel
+``mapping.stack_fast`` replaced and must match bit for bit (``c8_timings``
+times the two side by side), the stacking and collision oracles are the
 plain overwrite loop, the real-mode fold is a per-bin loop, the decode
 oracle is the masked-doubling gather that decode replaced (and, for
 paper-complex, the direct DFT of the real plane with direct edge sums), the CSV reader
@@ -16,6 +19,7 @@ test modules were computed with these.
 from __future__ import annotations
 
 import csv
+import time
 
 import numpy as np
 
@@ -61,6 +65,64 @@ def nearest_search_literal(targets, grid) -> np.ndarray:
                 best_k = k
         out[j] = best_k
     return out
+
+
+def nearest_indices_scan(targets, grid) -> np.ndarray:
+    """Scan every grid point for every target, O(len(targets) * len(grid));
+    among equal |grid[k] - f| the largest k wins, as in a scan updating on <=."""
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    grid = np.ascontiguousarray(grid, dtype=np.float64)
+    m = grid.shape[0]
+    rev = np.ascontiguousarray(grid[::-1])
+    scratch = np.empty(m)
+    out = np.empty(targets.shape[0], dtype=np.int64)
+    for j, f in enumerate(targets):
+        # argmin returns the first minimum; scanning the reversed grid makes
+        # that the last (largest-k) minimum of the original.
+        np.subtract(rev, f, out=scratch)
+        np.abs(scratch, out=scratch)
+        out[j] = (m - 1) - int(np.argmin(scratch))
+    return out
+
+
+def stretched_frequencies(n_samples, source_rate_hz, band_width_hz, band_index) -> np.ndarray:
+    """Source grid compressed into band ``band_index``: l_f + freq * (f_band/f_s),
+    with the source grid k * f_s/(n-1) as ``model.source_frequencies`` computes it.
+
+    A column of band indices, shape (k, 1), gives one row per band.
+    """
+    offset = band_index * band_width_hz
+    ratio = band_width_hz / source_rate_hz
+    return offset + (np.arange(n_samples) * (source_rate_hz / (n_samples - 1))) * ratio
+
+
+def stack_oracle(p, n_samples, source_rate_hz, target_rate_hz, band_index) -> np.ndarray:
+    """Assignment for one band by the float scan, over the configurations
+    (``model.check_geometry``) and band indices that ``stack_fast`` accepts,
+    refused with the same messages."""
+    from bandstack.model import ValidationError, check_geometry, destination_grid
+
+    n_out = check_geometry(p, n_samples, source_rate_hz, target_rate_hz)
+    bands = np.asarray(band_index)
+    bad = bands if bands.dtype.kind not in "iu" else bands[(bands < 0) | (bands >= p)]
+    if bad.size:
+        raise ValidationError(f"band index {bad.flat[0]} is not an integer in 0..{p - 1}")
+    band_width = float(target_rate_hz) / (2 * p)
+    targets = stretched_frequencies(n_samples, source_rate_hz, band_width, band_index)
+    return nearest_indices_scan(targets, destination_grid(n_out, target_rate_hz))
+
+
+def c8_timings(p, n_samples, source_rate_hz, target_rate_hz, bands):
+    """Time ``stack_fast`` and then the scan over the same bands: (fast
+    seconds, scan seconds, whether every band's assignments are identical)."""
+    from bandstack.mapping import stack_fast
+
+    got, seconds = {}, {}
+    for algo, fn in (("fast", stack_fast), ("scan", stack_oracle)):
+        start = time.perf_counter()
+        got[algo] = [fn(p, n_samples, source_rate_hz, target_rate_hz, b) for b in bands]
+        seconds[algo] = time.perf_counter() - start
+    return seconds["fast"], seconds["scan"], all(map(np.array_equal, got["fast"], got["scan"]))
 
 
 def stack_literal(all_bins, assignments, n_out) -> np.ndarray:

@@ -329,29 +329,6 @@ def test_encode_summary_at_reference_configuration(tmp_path, capsys):
     assert "lossless feasible (F_s >= p*f_s): no" in text
 
 
-def test_bench_command_small(capsys):
-    assert main(["bench", "-p", "2", "-n", "64", "--rate", "32",
-                 "--target-rate", "128", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["assignments_equal"] is True
-    assert set(report["seconds"]) == {"fast", "scan"}
-
-
-def test_bench_without_scan_has_no_speedup(capsys):
-    assert main(["bench", "-p", "2", "-n", "64", "--rate", "32",
-                 "--target-rate", "128", "--no-scan", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert set(report["seconds"]) == {"fast"}
-    assert report["speedup"] is None
-
-
-@pytest.mark.parametrize("bands", ["0", "-1"])
-def test_bench_refuses_an_empty_band_set(bands, capsys):
-    assert main(["bench", "-p", "2", "-n", "8", "--rate", "8", "--target-rate", "32",
-                 "--bands", bands, "--no-scan"]) == 2
-    assert "at least one band" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flags", [
     ["--tones", "1:10", "--rate", "0"],
     ["--band", "alpha", "--rate", "0"],
@@ -371,20 +348,22 @@ def test_synth_refuses_bad_rates_and_tones_without_warnings(tmp_path, capsys, fl
     # n_out = 5e18 fits intp but is past what the index arithmetic allows
     ["encode", "{csv}", "{out}.wav", "--target-rate", "4e18"],
     # 2p(n-1) * n_out = 128000 * 1.001e14 overflows int64
-    ["bench", "-p", "64", "-n", "1001", "--rate", "1", "--target-rate", "1e11", "--no-scan"],
+    ["encode", "{wide_csv}", "{out}.wav", "--rate", "1", "--target-rate", "1e11"],
 ])
 def test_index_arithmetic_out_of_range_is_a_validation_error(tmp_path, record_csv,
                                                               capsys, argv):
     csv_path, _ = record_csv
-    argv = [a.format(csv=csv_path, out=tmp_path / "out") for a in argv]
+    wide_csv = tmp_path / "wide.csv"
+    bio.write_multichannel(MultiChannelRecord(np.zeros((64, 1001)), 1.0), wide_csv)
+    argv = [a.format(csv=csv_path, wide_csv=wide_csv, out=tmp_path / "out") for a in argv]
     assert main(argv) == 2
     assert "error: " in capsys.readouterr().err
     assert not list(tmp_path.glob("out.*"))
 
 
 @pytest.mark.parametrize("argv", [
-    ["bench", "-p", "0", "--no-scan"],
-    ["bench", "-p", "2", "-n", "8", "--rate", "0", "--no-scan"],
+    ["synth", "{out}.csv", "--band", "alpha", "-p", "0"],
+    ["encode", "{csv}", "{out}.wav", "--rate", "0", "--target-rate", "192"],
     ["encode", "{csv}", "{out}.wav", "--target-rate", "1e300"],
     # the WAV byte-rate field holds rate * 4 in 32 bits
     ["encode", "{csv}", "{out}.wav", "--rate", "1e9", "--target-rate", "2e9"],

@@ -370,6 +370,21 @@ def test_raw_record_padded_far_past_its_sidecar_is_refused_unread(tmp_path):
     assert peak < 2**20
 
 
+def test_raw_record_read_holds_one_copy_of_the_channels(tmp_path):
+    # the record adopts the array the file is read into instead of copying it
+    rec = MultiChannelRecord(np.random.default_rng(4).standard_normal((8, 15000)), 250.0)
+    path = tmp_path / "rec.f64"
+    bio.write_multichannel(rec, path, format="raw-f64")
+    tracemalloc.start()
+    try:
+        back = bio.read_multichannel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.channels, rec.channels)
+    assert peak <= 1.1 * rec.channels.nbytes
+
+
 def test_raw_record_with_stray_bytes_rejected(tmp_path):
     rec = MultiChannelRecord(np.zeros((2, 8)), 10.0)
     path = tmp_path / "rec.f64"

@@ -4,10 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandstack._kernels import nearest_indices_scan
-from bandstack.mapping import stack_fast, stack_oracle
+from bandstack.mapping import stack_fast
 from bandstack.model import output_length
-from helpers import nearest_search_literal
+from helpers import nearest_indices_scan, nearest_search_literal, stack_oracle
 
 
 def _grid(n_out, span):

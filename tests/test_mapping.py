@@ -11,11 +11,7 @@ from bandstack import mapping
 from bandstack.mapping import (
     apply_stacking,
     build_band_plan,
-    destination_grid,
-    source_frequencies,
     stack_fast,
-    stack_oracle,
-    stretched_frequencies,
 )
 from bandstack.model import (
     ChannelSpectrum,
@@ -23,10 +19,19 @@ from bandstack.model import (
     InfeasibleError,
     TransformConfig,
     ValidationError,
+    destination_grid,
     output_length,
+    source_frequencies,
 )
 from bandstack.transform import roundtrip_report
-from helpers import collisions_literal, nearest_search_literal, random_record, stack_literal
+from helpers import (
+    collisions_literal,
+    nearest_search_literal,
+    random_record,
+    stack_literal,
+    stack_oracle,
+    stretched_frequencies,
+)
 
 
 def _plan(p, n, f_s, F_s, mode="real-hermitian", order=None):

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from bandstack import io as bio
-from bandstack.bench import run_mapping_benchmark
 from bandstack.features import stft_magnitude
-from bandstack.mapping import apply_stacking, build_band_plan, stack_fast, stack_oracle
+from bandstack.mapping import apply_stacking, build_band_plan, stack_fast
 from bandstack.model import (
     ChannelSpectrum,
     MultiChannelRecord,
@@ -27,6 +26,7 @@ from bandstack.model import (
 from bandstack.sidecar import SidecarHeader, read_sidecar
 from bandstack.spectrum import dft, forward_fft, hermitian_extend, inverse_fft
 from bandstack.synth import make_bandnoise, make_tones
+from helpers import stack_oracle
 
 
 def test_valid_record_paper_shape():
@@ -222,7 +222,8 @@ def test_wideband_signal_checks_finiteness_without_a_mask(dtype):
 
 
 # Every constructor and function that takes a rate, a count, a mode or a band
-# order, with the rest of a good configuration (p=3, n=8, f_s=8 Hz, F_s=48 Hz):
+# order, and the tests' scan oracle, which must refuse what stack_fast refuses,
+# with the rest of a good configuration (p=3, n=8, f_s=8 Hz, F_s=48 Hz):
 # field -> {caller: (call with the field set to v, the field's name in the
 # message, a good v)}
 def _mutated_record(v):
@@ -340,17 +341,10 @@ def test_check_geometry_returns_the_output_length():
     pytest.param(lambda: destination_grid(2.5, 8.0), id="destination_grid-fractional"),
     pytest.param(lambda: source_frequencies(2.5, 1.0), id="source_frequencies-fractional"),
     pytest.param(lambda: stack_fast(2, 8, 8.0, 48.0, 1.5), id="stack_fast-fractional-band"),
-    pytest.param(lambda: run_mapping_benchmark(2, 8, 8.0, 48.0, bands=[1.5], include_scan=False),
-                 id="run_mapping_benchmark-fractional-band"),
 ])
 def test_geometry_entry_points_refuse_with_validation_error(call):
     with pytest.raises(ValidationError):
         call()
-
-
-def test_the_mapping_benchmark_stores_integer_bands_as_plain_ints():
-    report = run_mapping_benchmark(2, 8, 8.0, 48.0, bands=np.arange(2), include_scan=False)
-    assert report.bands == (0, 1) and all(type(b) is int for b in report.bands)
 
 
 # Every public entry point that takes numbers, as (call with v, the argument's

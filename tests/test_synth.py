@@ -133,8 +133,10 @@ def test_non_finite_tone_fields_are_refused_by_name(tone, name):
     (lambda: make_bandnoise(1, 64, 250.0, ["alpha"]), "band"),
     (lambda: make_tones(1, 64, 250.0, [[(5.0, 1.0)]]), "tone"),
     (lambda: make_tones(1, 64, 250.0, [[(5.0, "1", 0.0)]]), "tone"),
+    (lambda: make_tones(1, 8, 8.0, 5), "tone table"),
+    (lambda: make_tones(1, 8, 8.0, [5]), "channel 0 tone list"),
 ], ids=["seed-float", "seed-str", "seed-None", "band-list", "tone-two-fields",
-        "tone-str-amplitude"])
+        "tone-str-amplitude", "tone-table-int", "tone-list-int"])
 def test_generators_refuse_malformed_arguments_by_name(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
