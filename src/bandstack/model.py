@@ -4,10 +4,12 @@ Everything downstream (mapping, transform, io, features) speaks in terms of
 these containers. All of them are immutable, so they can be shared freely
 across threads, and all but BandPlan (built by mapping.build_band_plan) check
 their fields on construction. Each configuration field has one checker here
-(``check_rate``, ``check_counts``, ``check_mode``, ``check_order``, and for a
-whole configuration ``check_geometry``), which every caller that takes it calls.
-Other integers have ``check_integer``, and arrays of numbers ``check_array``,
-which constructors follow with one C-order copy that they lock.
+(``check_rate``, ``check_counts``, ``check_mode``, ``check_order``,
+``check_names``, and for a whole configuration ``check_geometry``), which every
+caller that takes it calls. Other integers have ``check_integer``, arguments
+of one of these types ``check_type``, arrays of numbers ``check_array`` and
+their values ``check_finite``. Constructors follow ``check_array`` with one
+C-order copy that they lock; ``adopt`` locks a fresh array instead.
 
 Conventions: channel and band indices are 0-based everywhere in this library;
 the CLI and file sidecars use 1-based channel numbering and say so.
@@ -112,6 +114,26 @@ def check_order(order, p: int) -> tuple[int, ...]:
     return entries
 
 
+def check_names(names, p: int) -> Optional[tuple[str, ...]]:
+    """``names`` as a tuple, if it is None or a sequence of p strings. A bare
+    string is refused rather than split into its characters."""
+    if names is None:
+        return None
+    try:
+        entries = None if isinstance(names, (str, bytes)) else tuple(names)
+    except TypeError:
+        entries = None
+    if entries is None or len(entries) != p or not all(isinstance(n, str) for n in entries):
+        raise ValidationError(f"channel_names must be None or {p} strings, got {names!r}")
+    return entries
+
+
+def check_type(name: str, value, cls: type) -> None:
+    """Refuse ``value`` unless it is a ``cls``, naming the argument."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def check_array(name: str, values, ndim: int, dtype=np.float64) -> np.ndarray:
     """``values`` as an ``ndim``-D array of numbers, copied only to convert:
     float64 takes bool, int and float; complex128 also complex; None keeps
@@ -184,6 +206,18 @@ def source_frequencies(n_samples: int, source_rate_hz: float) -> np.ndarray:
     return np.arange(n_samples, dtype=np.float64) * step
 
 
+def check_finite(values: np.ndarray, message: str) -> None:
+    """Refuse a float64 or complex128 array holding NaN or an infinity, with
+    ``message`` formatted with the first one's index. min and max (started at
+    0, so an empty array passes) propagate NaN, reach any infinity and allocate
+    nothing; a complex array is read as its float64 view, copied only if it is
+    not contiguous."""
+    flat = np.ascontiguousarray(values).view(np.float64) if values.dtype.kind == "c" else values
+    if not (np.isfinite(flat.min(initial=0.0)) and np.isfinite(flat.max(initial=0.0))):
+        index = np.argwhere(~np.isfinite(values))[0]
+        raise ValidationError(message.format(*index.tolist()))
+
+
 def _as_locked(a: np.ndarray) -> np.ndarray:
     """Read-only view of a read-only array that owns its data.
 
@@ -213,30 +247,13 @@ class MultiChannelRecord:
     def __post_init__(self):
         self._settle(np.array(check_array("channels", self.channels, 2), order="C"))
 
-    @classmethod
-    def _adopt(cls, channels: np.ndarray, sample_rate_hz: float,
-               channel_names=None) -> "MultiChannelRecord":
-        """A record that takes ownership of ``channels``, a fresh C-contiguous
-        float64 (p, n) array no one else writes: checked as the constructor
-        checks it, but locked instead of copied."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "sample_rate_hz", sample_rate_hz)
-        object.__setattr__(record, "channel_names", channel_names)
-        record._settle(channels)
-        return record
-
     def _settle(self, rows: np.ndarray) -> None:
         """Check and lock fresh C-contiguous float64 rows, then the other fields."""
         _check_channels(rows)
         object.__setattr__(self, "channels", _as_locked(rows))
         object.__setattr__(self, "sample_rate_hz",
                            check_rate("sample_rate_hz", self.sample_rate_hz))
-        if self.channel_names is not None:
-            names = tuple(str(n) for n in self.channel_names)
-            if len(names) != rows.shape[0]:
-                raise ValidationError(
-                    f"{len(names)} channel names for {rows.shape[0]} channels")
-            object.__setattr__(self, "channel_names", names)
+        object.__setattr__(self, "channel_names", check_names(self.channel_names, rows.shape[0]))
 
     @property
     def p(self) -> int:
@@ -251,32 +268,23 @@ class MultiChannelRecord:
         return self.n_samples / self.sample_rate_hz
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    """No NaN or infinity in a float64 array. min and max propagate NaN and
-    reach any infinity, and allocate nothing."""
-    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
-
-
 def _check_channels(rows: np.ndarray) -> None:
     """Check a float64 channel array's shape and values without copying it."""
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValidationError(f"expected a (p, n) channel array, got shape {rows.shape}")
     if rows.shape[1] < 2:
         raise ValidationError(f"channels must hold at least 2 samples, got {rows.shape[1]}")
-    if not _all_finite(rows):
-        ch, idx = np.argwhere(~np.isfinite(rows))[0]
-        raise ValidationError(f"non-finite sample at channel {ch}, index {idx}")
+    check_finite(rows, "non-finite sample at channel {}, index {}")
 
 
 def validate_record(record: MultiChannelRecord) -> None:
     """Re-check every MultiChannelRecord invariant; raise ValidationError if any fails.
 
-    Construction already validates, so this only guards records whose arrays
-    were mutated through a non-owning view. The channel array is checked in
-    place.
+    Construction already validates, so this only guards records whose array
+    was made writable again through its owner (``channels.base``) and
+    changed. The channel array is checked in place.
     """
-    if not isinstance(record, MultiChannelRecord):
-        raise ValidationError(f"expected MultiChannelRecord, got {type(record).__name__}")
+    check_type("record", record, MultiChannelRecord)
     _check_channels(record.channels)
     check_rate("sample_rate_hz", record.sample_rate_hz)
 
@@ -296,8 +304,7 @@ class ChannelSpectrum:
         bins = np.array(check_array("bins", self.bins, 1, np.complex128), order="C")
         if bins.shape[0] < 2:
             raise ValidationError(f"spectrum needs >= 2 bins, got shape {bins.shape}")
-        if not _all_finite(bins.view(np.float64)):  # contiguous after the copy
-            raise ValidationError("non-finite spectrum bin")
+        check_finite(bins, "non-finite spectrum bin")
         object.__setattr__(self, "bins", _as_locked(bins))
         object.__setattr__(self, "source_rate_hz",
                            check_rate("source_rate_hz", self.source_rate_hz))
@@ -446,25 +453,12 @@ class WidebandSignal:
     def __post_init__(self):
         self._settle(np.array(check_array("samples", self.samples, 1, None), order="C"))
 
-    @classmethod
-    def _adopt(cls, samples: np.ndarray, rate_hz: float,
-               provenance: "SidecarHeader") -> "WidebandSignal":
-        """A signal that takes ownership of ``samples``, a fresh contiguous
-        float64 or complex128 array no one else writes: checked as the
-        constructor checks it, but locked instead of copied."""
-        signal = object.__new__(cls)
-        object.__setattr__(signal, "rate_hz", rate_hz)
-        object.__setattr__(signal, "provenance", provenance)
-        signal._settle(samples)
-        return signal
-
     def _settle(self, samples: np.ndarray) -> None:
         """Check a fresh contiguous float64 or complex128 sample vector that
         no one else writes and the other fields, then store it locked."""
         if samples.shape[0] < 2:
             raise ValidationError(f"wideband signal needs >= 2 samples, got {samples.shape}")
-        if not _all_finite(samples.view(np.float64)):
-            raise ValidationError("non-finite wideband sample")
+        check_finite(samples, "non-finite wideband sample")
         if self.provenance is None:
             raise ValidationError("wideband signal requires provenance")
         if self.provenance.n_out != samples.shape[0]:
@@ -491,3 +485,12 @@ class WidebandSignal:
         return self.samples * self.provenance.scale
 
 
+def adopt(cls, array: np.ndarray, *fields):
+    """A MultiChannelRecord or WidebandSignal that owns ``array``, a fresh
+    C-contiguous array no one else writes: checked as its constructor checks
+    it, but locked instead of copied. ``fields`` follow the array's, in order."""
+    instance = object.__new__(cls)
+    for name, value in zip(list(cls.__dataclass_fields__)[1:], fields, strict=True):
+        object.__setattr__(instance, name, value)
+    instance._settle(array)
+    return instance

@@ -12,14 +12,15 @@ sidecar_text, which stamps the format version and kind, and read by one
 strict reader, read_sidecar. Floats survive bit-exactly (shortest-repr round
 trip); unknown keys, unsupported versions and fields of the wrong type or
 range are rejected rather than ignored or coerced, so a future or tampered
-writer cannot silently feed this reader.
+writer cannot silently feed this reader. A SidecarHeader passes the reader's
+field checks when it is built, so every header reads back from its own JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from bandstack.model import (
@@ -28,6 +29,7 @@ from bandstack.model import (
     ValidationError,
     check_geometry,
     check_mode,
+    check_names,
     check_order,
     check_rate,
     output_length,
@@ -80,6 +82,22 @@ def sidecar_text(kind: str, fields: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _check_fields(kind: str, fields: dict, error: type = FormatError) -> None:
+    """Raise ``error`` for unknown or missing fields of a ``kind`` sidecar and
+    for any of the wrong type or range (the version and kind are not checked)."""
+    required, optional = _FIELDS[kind]
+    unknown = set(fields) - {"format_version", "kind"} - set(required) - set(optional)
+    if unknown:
+        raise error(f"unknown {kind} sidecar fields {sorted(unknown)}; refusing to guess")
+    missing = set(required) - set(fields)
+    if missing:
+        raise error(f"{kind} sidecar is missing fields {sorted(missing)}")
+    for name, (ok, wanted) in {**required, **optional}.items():
+        if name in fields and not ok(fields[name]):
+            raise error(f"{kind} sidecar field {name!r} must be {wanted}, "
+                        f"got {fields[name]!r}")
+
+
 def read_sidecar(text: str, kind: Optional[str] = None) -> dict:
     """Parse and check one sidecar of ``kind`` (any known kind when None).
 
@@ -102,18 +120,7 @@ def read_sidecar(text: str, kind: Optional[str] = None) -> dict:
     if not isinstance(found, str) or found not in _FIELDS or kind not in (None, found):
         raise FormatError(f"expected a {kind or ' or '.join(_FIELDS)} sidecar, "
                           f"got kind={found!r}")
-    required, optional = _FIELDS[found]
-    unknown = set(payload) - {"format_version", "kind"} - set(required) - set(optional)
-    if unknown:
-        raise FormatError(f"unknown {found} sidecar fields {sorted(unknown)}; "
-                          f"refusing to guess")
-    missing = set(required) - set(payload)
-    if missing:
-        raise FormatError(f"{found} sidecar is missing fields {sorted(missing)}")
-    for name, (ok, wanted) in {**required, **optional}.items():
-        if name in payload and not ok(payload[name]):
-            raise FormatError(f"{found} sidecar field {name!r} must be {wanted}, "
-                              f"got {payload[name]!r}")
+    _check_fields(found, payload)
     return payload
 
 
@@ -143,19 +150,17 @@ class SidecarHeader:
             object.__setattr__(self, name, check_rate(name, getattr(self, name)))
         # the configuration decode would refuse is refused here, when it is read
         check_geometry(self.p, self.n_samples, self.source_rate_hz, self.target_rate_hz)
-        scale = self.scale
-        if not (math.isfinite(scale) and scale > 0 and math.frexp(scale)[0] == 0.5):
-            raise ValidationError(f"scale must be a finite positive power of two, "
-                                  f"got {scale!r}")
         object.__setattr__(self, "stacking_order", check_order(self.stacking_order, self.p))
+        object.__setattr__(self, "channel_names", check_names(self.channel_names, self.p))
         check_mode(self.mode)
+        # what to_json would write must pass the reader's own field checks
+        _check_fields("wideband", self._fields(), ValidationError)
+        if math.frexp(self.scale)[0] != 0.5:  # finite and positive already
+            raise ValidationError(f"scale must be a finite positive power of two, "
+                                  f"got {self.scale!r}")
+        object.__setattr__(self, "scale", float(self.scale))
         if self.mode == MODE_PAPER_COMPLEX and self.data_format == "wav-f32":
             raise ValidationError("paper-complex signals cannot live in WAV")
-        names = self.channel_names
-        if names is not None and (len(names) != self.p
-                                  or not all(isinstance(n, str) for n in names)):
-            raise ValidationError(f"channel_names must be None or {self.p} strings, "
-                                  f"got {names!r}")
 
     @property
     def n_out(self) -> int:
@@ -167,19 +172,22 @@ class SidecarHeader:
         exact = (self.n_samples / self.source_rate_hz) * self.target_rate_hz
         return exact - self.n_out
 
-    def to_json(self) -> str:
-        fields = asdict(self)
+    def _fields(self) -> dict:
+        """The fields that are not None, as the JSON file holds them."""
+        fields = {name: value for name, value in vars(self).items() if value is not None}
         fields["stacking_order"] = [i + 1 for i in self.stacking_order]
-        return sidecar_text("wideband", fields)
+        if self.channel_names is not None:
+            fields["channel_names"] = list(self.channel_names)
+        return fields
+
+    def to_json(self) -> str:
+        return sidecar_text("wideband", self._fields())
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SidecarHeader":
         """Header from a payload that read_sidecar accepted as kind wideband."""
         fields = {k: v for k, v in payload.items() if k not in ("format_version", "kind")}
-        fields["stacking_order"] = tuple(i - 1 for i in fields["stacking_order"])
-        fields["scale"] = float(fields["scale"])
-        if "channel_names" in fields:
-            fields["channel_names"] = tuple(fields["channel_names"])
+        fields["stacking_order"] = [i - 1 for i in fields["stacking_order"]]
         try:
             return cls(**fields)
         except ValidationError as exc:

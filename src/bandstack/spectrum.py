@@ -6,26 +6,21 @@ unnormalized sum X[k] = sum_n x[n] exp(-2j*pi*k*n/N); the inverse carries the
 are 1 and no wrapper scaling is needed. Arbitrary lengths are supported
 exactly; nothing here ever zero-pads.
 
-encode takes one ``rfft`` of the real channels and gathers the wideband
-bins from it (conjugating the mirrored ones), then inverts with ``irfft``
-(``ifft`` in paper-complex); decode takes one ``rfft`` of the waveform's
-real plane in every mode (paper-complex adds two edge sums), and its
-channels come back through one ``irfft`` per block of channels. Batches
-that would need a large temporary stream their rows through blocks of about
+Encode and decode (transform.py) call numpy.fft directly. Batches that would
+need a large temporary stream their rows through blocks of about
 ``BLOCK_BYTES`` (``block_rows``): decode's gather and the STFT's frames.
 ``rfft`` and ``irfft`` transform each row on its own, so the block size
-changes no value. ``forward_fft`` and
-``hermitian_extend`` are the one-channel reference path: the tests and the
-benchmark's replay check (perfbench/workloads.py) compare encode and decode
-against it. Their input goes through ``model.check_array``; ``forward_fft``
-refuses complex values.
+changes no value. ``forward_fft`` and ``hermitian_extend`` are the
+one-channel reference path: the tests and the benchmark's replay check
+(perfbench/workloads.py) compare encode and decode against it. Every input
+goes through ``model.check_array``; ``forward_fft`` refuses complex values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bandstack.model import ChannelSpectrum, ValidationError, check_array
+from bandstack.model import ChannelSpectrum, ValidationError, check_array, check_finite
 
 # Bytes of temporaries one block of rows may take. For the STFT at 160000
 # samples, window 1024, blocks of 256 KiB to 1 MiB ran within 6% of each
@@ -46,8 +41,7 @@ def dft(x: np.ndarray) -> np.ndarray:
     x = check_array("x", x, 1, None)
     if x.shape[0] < 2:
         raise ValidationError(f"dft input must be a vector of length >= 2, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValidationError("non-finite dft input")
+    check_finite(x, "non-finite dft input")
     return np.fft.fft(x)
 
 
@@ -61,8 +55,7 @@ def inverse_fft(bins: np.ndarray) -> np.ndarray:
     b = check_array("bins", bins, 1, np.complex128)
     if b.shape[0] < 2:
         raise ValidationError(f"inverse_fft input must be a vector of length >= 2, got {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValidationError("non-finite inverse_fft input")
+    check_finite(b, "non-finite inverse_fft input")
     return np.fft.ifft(b)
 
 

@@ -250,6 +250,26 @@ def test_synth_malformed_tones_is_validation_error(tmp_path, capsys, tones):
     assert "bad tone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tones, words", [
+    ("1", "bad tone '1': expected CH:FREQ[:AMP[:PHASE]]"),
+    ("1:5:1:0:0", "bad tone '1:5:1:0:0': expected CH:FREQ[:AMP[:PHASE]]"),
+    ("3:5", "tone channel 3 out of range 1..2"),
+    ("0:5", "tone channel 0 out of range 1..2"),
+])
+def test_synth_refuses_a_tone_spec_it_cannot_place(tmp_path, capsys, tones, words):
+    out = tmp_path / "x.csv"
+    assert main(["synth", str(out), "-p", "2", "--tones", tones]) == 2
+    assert words in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["synth", str(tmp_path / "x.csv"), "--tones", "1:5"]) == 0
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_zero_record_encodes_to_zero_wav(tmp_path):
     csv_path = tmp_path / "zero.csv"
     bio.write_multichannel(MultiChannelRecord(np.zeros((2, 32)), 16.0), csv_path)

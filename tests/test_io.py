@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
 import struct
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -12,6 +14,8 @@ import pytest
 
 from bandstack import io as bio
 from bandstack.cli import main
+from bandstack.features import spectrogram
+from bandstack.mapping import build_band_plan
 from bandstack.model import (
     MODE_PAPER_COMPLEX,
     FormatError,
@@ -20,7 +24,7 @@ from bandstack.model import (
     ValidationError,
     WidebandSignal,
 )
-from bandstack.transform import decode, encode
+from bandstack.transform import decode, encode, roundtrip_report
 from helpers import (
     csv_rows_literal,
     random_record,
@@ -862,3 +866,57 @@ def test_wideband_read_adopts_the_array_it_builds(tmp_path, name):
         tracemalloc.stop()
     assert back.n_out == sig.n_out and not back.samples.flags.writeable
     assert peak <= 1.6 * 8 * sig.n_out
+
+
+_RECORD = MultiChannelRecord(np.zeros((2, 4)), 4.0)
+_CONFIG = TransformConfig(16.0, 2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda path: bio.write_multichannel(np.zeros((2, 4)), path), "record"),
+    (lambda path: bio.write_multichannel(_RECORD.channels, path, format="raw-f64"), "record"),
+    (lambda path: bio.write_wideband(np.zeros(16), path), "signal"),
+    (lambda path: encode(np.zeros((2, 4)), _CONFIG), "record"),
+    (lambda path: encode(_RECORD, {"target_rate_hz": 16.0}), "config"),
+    (lambda path: decode(np.zeros(16)), "signal"),
+    (lambda path: spectrogram(np.zeros(16), 4, 2), "signal"),
+    (lambda path: roundtrip_report(np.zeros((2, 4)), _CONFIG), "record"),
+    (lambda path: roundtrip_report(_RECORD, None), "config"),
+    (lambda path: build_band_plan(2, 4, 4.0, (16.0, 2)), "config"),
+], ids=["write_multichannel-csv", "write_multichannel-raw", "write_wideband", "encode-record",
+        "encode-config", "decode", "spectrogram", "roundtrip_report-record",
+        "roundtrip_report-config", "build_band_plan"])
+def test_a_container_or_config_of_the_wrong_type_is_refused_by_name(tmp_path, call, name):
+    path = tmp_path / "keep.csv"
+    path.write_text("keep\n")
+    with pytest.raises(ValidationError, match=f"^{name} must be a [A-Z]"):
+        call(path)
+    assert path.read_text() == "keep\n"  # nothing is opened before the check
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_raw_records_are_read_from_a_fifo(tmp_path):
+    rec = random_record(np.random.default_rng(3), 2, 6, 8.0)
+    bio.write_multichannel(rec, tmp_path / "rec.f64", format="raw-f64")
+    fifo = tmp_path / "fifo.f64"
+    os.mkfifo(fifo)
+    os.replace(tmp_path / "rec.f64.sidecar", bio.sidecar_path(fifo))
+    data = (tmp_path / "rec.f64").read_bytes()
+    for blob in (data, data[:-3]):
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        try:
+            if blob is data:
+                back = bio.read_multichannel(fifo, format="raw-f64")
+                assert np.array_equal(back.channels, rec.channels)
+            else:
+                with pytest.raises(FormatError, match="expected 2\\*6=12 doubles, found 11 "
+                                                      "and 5 stray bytes"):
+                    bio.read_multichannel(fifo, format="raw-f64")
+        finally:
+            # a reader that failed before opening the FIFO would leave the writer blocked
+            fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(10)
+            os.close(fd)
+        assert not writer.is_alive()

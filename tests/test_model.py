@@ -1,16 +1,21 @@
 """Domain-type invariants: nothing invalid can be constructed."""
 
+import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandstack import io as bio
 from bandstack.features import stft_magnitude
 from bandstack.mapping import apply_stacking, build_band_plan, stack_fast
 from bandstack.model import (
+    MODES,
     ChannelSpectrum,
+    FormatError,
     MultiChannelRecord,
     StackedSpectrum,
     TransformConfig,
@@ -23,7 +28,7 @@ from bandstack.model import (
     source_frequencies,
     validate_record,
 )
-from bandstack.sidecar import SidecarHeader, read_sidecar
+from bandstack.sidecar import WIDEBAND_FORMATS, SidecarHeader, read_sidecar
 from bandstack.spectrum import dft, forward_fft, hermitian_extend, inverse_fft
 from bandstack.synth import make_bandnoise, make_tones
 from helpers import stack_oracle
@@ -171,6 +176,95 @@ def test_sidecar_header_json_is_pinned_and_round_trips(names, tail):
         '\n  "stacking_order": [\n    2,\n    1\n  ],\n  "scale": 0.5,'
         '\n  "collision_count": 1,\n  "data_format": "wav-f32"' + tail + '\n}\n')
     assert SidecarHeader.from_payload(read_sidecar(text, "wideband")) == header
+
+
+_GOOD_HEADER = dict(p=2, n_samples=4, source_rate_hz=4.0, target_rate_hz=16.0,
+                    mode="real-hermitian", stacking_order=(1, 0), scale=0.5,
+                    collision_count=1)
+
+
+@st.composite
+def _header_fields(draw):
+    """SidecarHeader keyword arguments: good ones, with up to two fields bad."""
+    p = draw(st.integers(1, 3))
+    source = draw(st.sampled_from([1.0, 4.0, 250.0, 3]))
+    fields = dict(
+        p=p, n_samples=draw(st.integers(2, 40)), source_rate_hz=source,
+        target_rate_hz=source * draw(st.floats(1.0, 64.0)), mode=draw(st.sampled_from(MODES)),
+        stacking_order=draw(st.permutations(range(p))),
+        scale=2.0 ** draw(st.integers(-1074, 1023)), collision_count=draw(st.integers(0, 10)),
+        data_format=draw(st.sampled_from(WIDEBAND_FORMATS)),
+        channel_names=draw(st.none() | st.lists(st.text(max_size=3), min_size=p, max_size=p)))
+    bad = {
+        "p": [0, True, float(p), str(p), np.int64(p)],
+        "n_samples": [1, True, 4.0, np.int64(4)],
+        "source_rate_hz": [0.0, -1.0, np.nan, "4", None],
+        "target_rate_hz": [np.inf, 0, True, 1e-300],
+        "mode": ["lossy", 0, None],
+        "stacking_order": [[0] * p, "0", None, list(range(1, p + 1))],
+        "scale": [1, 2**60, True, 3.0, -0.5, 0.0, np.nan, np.inf, "1", None, 2**1100],
+        "collision_count": [-1, True, 1.0, None, np.int64(1)],
+        "data_format": ["mp3", None, 1],
+        "channel_names": ["abc"[:p], [1] * p, [None] * p, 7, ["a"] * (p + 1), ("a",) * p],
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(bad)), max_size=2)):
+        fields[name] = draw(st.sampled_from(bad[name]))
+    return fields
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(fields=_header_fields())
+@example(fields={**_GOOD_HEADER, "collision_count": -1})
+@example(fields={**_GOOD_HEADER, "scale": True})
+@example(fields={**_GOOD_HEADER, "data_format": "mp3"})
+@example(fields={**_GOOD_HEADER, "channel_names": "ab"})
+def test_every_header_that_builds_reads_back_from_its_json_unchanged(fields):
+    try:
+        header = SidecarHeader(**fields)
+    except ValidationError:
+        return
+    assert SidecarHeader.from_payload(read_sidecar(header.to_json(), "wideband")) == header
+
+
+@pytest.mark.parametrize("field, value", [("collision_count", -1), ("scale", True),
+                                          ("data_format", "mp3"), ("collision_count", 1.0)])
+def test_header_and_reader_refuse_a_bad_field_in_the_same_words(field, value):
+    with pytest.raises(ValidationError) as in_memory:
+        SidecarHeader(**{**_GOOD_HEADER, field: value})
+    payload = json.loads(SidecarHeader(**_GOOD_HEADER).to_json())
+    with pytest.raises(FormatError) as from_file:
+        read_sidecar(json.dumps({**payload, field: value}))
+    assert str(in_memory.value) == str(from_file.value)
+
+
+@pytest.mark.parametrize("names", ["ab", ("a", 2), 7],
+                         ids=["bare-string", "non-string-entry", "non-iterable"])
+def test_record_refuses_names_that_are_not_p_strings(names):
+    with pytest.raises(ValidationError, match="^channel_names must be None or 2 strings"):
+        MultiChannelRecord(np.zeros((2, 4)), 4.0, channel_names=names)
+    assert MultiChannelRecord(np.zeros((2, 4)), 4.0, ["a", "b"]).channel_names == ("a", "b")
+
+
+def test_a_record_without_channels_is_refused():
+    with pytest.raises(ValidationError, match=r"\(p, n\) channel array, got shape \(0, 4\)"):
+        MultiChannelRecord(np.zeros((0, 4)), 4.0)
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: dft([1.0]), "length >= 2"),
+    (lambda: inverse_fft([1.0]), "length >= 2"),
+    (lambda: hermitian_extend([1.0]), "length >= 2"),
+    (lambda: StackedSpectrum([1.0], 4.0), ">= 2 bins"),
+    (lambda: WidebandSignal([0.0], 48.0, _header()), ">= 2 samples"),
+], ids=["dft", "inverse_fft", "hermitian_extend", "StackedSpectrum", "WidebandSignal"])
+def test_vectors_shorter_than_two_are_refused(call, words):
+    with pytest.raises(ValidationError, match=re.escape(words)):
+        call()
+
+
+def test_a_sidecar_that_is_a_json_array_is_refused():
+    with pytest.raises(FormatError, match="must be a JSON object"):
+        read_sidecar("[]")
 
 
 def test_wideband_signal_checks_provenance_length():

@@ -140,3 +140,8 @@ def test_non_finite_tone_fields_are_refused_by_name(tone, name):
 def test_generators_refuse_malformed_arguments_by_name(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
+
+
+def test_a_tone_table_of_the_wrong_length_is_refused():
+    with pytest.raises(ValidationError, match="tone table has 1 entries for p=2 channels"):
+        make_tones(2, 8, 8.0, [[]])
