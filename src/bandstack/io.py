@@ -256,10 +256,13 @@ def _read_csv_table(path, on_comment, split, bad_cell, header=False):
 
 def _write_csv_rows(fh, rows: np.ndarray) -> None:
     """Write a 2-D array as lines of shortest round-trip reprs, one block
-    of rows per ``write``."""
+    of rows per ``write``. Each block is formatted column by column and
+    zipped into rows, so no Python loop runs per row."""
     for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        fh.write("".join([",".join(map(repr, row)) + "\n"
-                          for row in rows[start:start + _BLOCK_ROWS].tolist()]))
+        block = rows[start:start + _BLOCK_ROWS]
+        columns = [map(repr, column) for column in block.T.tolist()]
+        lines = map(",".join, zip(*columns)) if columns else [""] * block.shape[0]
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +278,12 @@ def read_multichannel(path, format: Optional[str] = None,
     if _resolve_format(path, format, "record") == "csv":
         return _read_csv_record(path, rate_hz)
     payload = _read_sidecar(path, "record")
+    names = payload.get("channel_names")
+    if names is not None and len(names) != payload["p"]:
+        raise FormatError(f"{sidecar_path(path)}: {len(names)} channel_names for "
+                          f"p={payload['p']} channels")
     return adopt(MultiChannelRecord, _read_raw(path, (payload["p"], payload["n_samples"])),
-                 payload["source_rate_hz"], payload.get("channel_names") or None)
+                 payload["source_rate_hz"], names)
 
 
 def _read_csv_record(path, rate_hz):

@@ -80,6 +80,8 @@ def stack_fast(p: int, n_samples: int, source_rate_hz: float,
     With den = 2p(n-1) and m = b(n-1) + k, bin k of band b lies x =
     m (n_out-1)/den grid steps up; q, r = divmod(2m(n_out-1) + den, 2 den),
     all below den * n_out, give q = round_half_up(x) and 2x - (2q-1) = r/den.
+    (r is taken as num - 2 den q, exact in int64: ``np.divmod`` is over ten
+    times slower than ``np.floor_divide`` by a scalar.)
 
     Error bound: the scan's float target is x s (1 + e), s = F_s/(n_out-1),
     |e| <= 6.01u (six roundings, u = 2**-53), and its grid point j is
@@ -106,7 +108,9 @@ def stack_fast(p: int, n_samples: int, source_rate_hz: float,
     # encode's arrays (one cost wide64-complex ~1,600 page faults per request).
     m = bands * (n_samples - 1) + bins
     num = 2 * (n_out - 1) * m + den
-    q, r = np.divmod(num, 2 * den)
+    q = np.floor_divide(num, 2 * den)
+    r = np.multiply(q, 2 * den)
+    np.subtract(num, r, out=r)
     limit = (den * (n_out + 1)) >> 48
     near = (r <= limit) | (r >= 2 * den - limit)
     if near.any():

@@ -459,8 +459,9 @@ class WidebandSignal:
         if samples.shape[0] < 2:
             raise ValidationError(f"wideband signal needs >= 2 samples, got {samples.shape}")
         check_finite(samples, "non-finite wideband sample")
-        if self.provenance is None:
-            raise ValidationError("wideband signal requires provenance")
+        from bandstack.sidecar import SidecarHeader  # sidecar imports this module
+
+        check_type("provenance", self.provenance, SidecarHeader)
         if self.provenance.n_out != samples.shape[0]:
             raise ValidationError(
                 f"provenance says {self.provenance.n_out} samples, got {samples.shape[0]}")

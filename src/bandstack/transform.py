@@ -29,11 +29,25 @@ paper-complex the spectrum S is one-sided, so bin k of the real plane,
 (S[k] + conj(S[-k])) / 2, is S[k] / 2 inside but only Re S[k] at DC and
 Nyquist, their own mirrors; decode takes those two bins from direct sums of
 the complex samples instead. It then gathers the channels' informative
-lower-half bins, one block of about 1 MiB of channels at a time, and inverts
-each block in one batched real inverse FFT, which restores the mirror half
-by conjugate symmetry. The upper-half reads
-would be wrong anyway: adjacent bands structurally overwrite each other's
-boundary bin, and only the redundant conjugate copy is lost there.
+lower-half bins, one block of channels at a time, and inverts each block in
+one batched real inverse FFT, which restores the mirror half by conjugate
+symmetry. The upper-half reads would be wrong anyway: adjacent bands
+structurally overwrite each other's boundary bin, and only the redundant
+conjugate copy is lost there.
+
+Decode's independent work runs on two threads: the calling one and one
+worker thread that every decode in the process shares. The worker takes
+the paper-complex edge sums while the caller runs the ``rfft``, then the
+second half of the channels' gathers and inverses while the caller does the
+first half. Each thread's gather block is at most half of ``BLOCK_BYTES``
+(1 MiB), so the two together hold no more than one block. They run the
+same numpy calls on the same rows, so every output bit is the one a single
+thread would give. The worker starts on first use, runs its work in the
+caller's ``contextvars`` context (numpy's ``errstate`` lives there), and is
+forgotten in a forked child, whose copy of it is gone. A caller whose half
+of the work ends before the worker has picked up the other half (the worker
+may be busy with another thread's decode) runs that half itself, and no
+caller returns or raises before its other half is over.
 
 Amplitude scale: stored samples are peak-normalized to at most 0.9 by an
 exact power of two recorded in the provenance, so descaling at decode is
@@ -52,9 +66,10 @@ Beside it, each call allocates:
     place; in paper-complex one scaled copy of the held spectrum (after the
     n_out magnitudes that find its peak).
   * decode - the (p, n) channels it returns, which the batched ``irfft``
-    writes directly, block by block, and one block's complex gather of its
-    channels' n//2 + 1 bins at a time (``spectrum.block_rows``: at most
-    1 MiB, so 30 channels of n = 10000 go in three blocks of 10).
+    writes directly, block by block, and on each of its two threads one
+    block's complex gather of its channels' n//2 + 1 bins at a time
+    (``spectrum.block_rows``: at most half of 1 MiB, so each thread takes
+    15 of 30 channels of n = 10000 in three blocks of 5).
 
 The signal and the record adopt those arrays and lock them instead of
 copying, so every array encode or decode returns is fresh, read-only and
@@ -63,7 +78,11 @@ never shares the held spectrum.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import queue
 import threading
 import warnings
 from dataclasses import asdict, dataclass
@@ -119,6 +138,106 @@ def _wideband_buffer(n_out: int, complex_mode: bool) -> np.ndarray:
         _scratch.buffer = None
         _scratch.buffer = buffer = np.empty(size, dtype=np.complex128)
     return buffer
+
+
+# Decode's worker thread takes _Handoff slots from this queue; the queue is
+# None until the first decode that splits its work starts the thread.
+_worker_lock = threading.Lock()
+_worker_tasks = None
+_slots = threading.local()
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread, whatever its parent had, and
+    the lock may have been held by a thread the child does not have."""
+    global _worker_lock, _worker_tasks
+    _worker_lock, _worker_tasks = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+class _Handoff:
+    """The slot through which one calling thread hands work to the worker,
+    reused by all its calls. ``claim`` is free only while work waits in the
+    slot, and whichever thread takes it runs the work. ``busy`` is held from
+    the hand-off until the work is over.
+
+    A future per call is simpler, but its locks are small mallocs on the
+    calling thread. On the benchmark's eeg16k workload (2-vCPU VM) they
+    moved glibc's heap top enough that the arena was trimmed between
+    requests and encode page-faulted its rfft bins again: encode_ms_p90
+    rose 9%."""
+
+    def __init__(self):
+        self.claim, self.busy = threading.Lock(), threading.Lock()
+        self.claim.acquire()
+        self.work = self.result = self.error = None
+
+    def run(self) -> None:
+        try:
+            self.result = self.work()
+        except BaseException as exc:  # the caller raises it; the worker lives on
+            self.error = exc
+        finally:
+            self.work = None
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        slot = tasks.get()
+        if slot.claim.acquire(blocking=False):  # else its caller took it back
+            slot.run()
+            slot.busy.release()
+
+
+def _in_parallel(own, other):
+    """Run ``other()`` on the worker thread while this thread runs ``own()``,
+    and return what ``other`` returns or raise what it raises.
+
+    ``other`` runs in a copy of this thread's context. If the worker has not
+    started it by the time ``own`` is done, this thread runs it instead. If
+    ``own`` raises, ``other`` is dropped or waited for first."""
+    global _worker_tasks
+    with _worker_lock:
+        if _worker_tasks is None:
+            _worker_tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_worker_tasks,), daemon=True,
+                             name="bandstack-decode").start()
+        tasks = _worker_tasks
+    slot = getattr(_slots, "slot", None)
+    if slot is None:
+        slot = _slots.slot = _Handoff()
+    slot.busy.acquire()  # waits only while an interrupted call's work still runs
+    slot.work = functools.partial(contextvars.copy_context().run, other)
+    slot.result = slot.error = None
+    slot.claim.release()
+    tasks.put(slot)
+    own_done = False
+    try:
+        own()
+        own_done = True
+    finally:
+        if not slot.claim.acquire(blocking=False):
+            slot.busy.acquire()  # the worker has it: wait until it is over
+        elif own_done:
+            slot.run()
+        else:
+            slot.work = None
+        slot.busy.release()
+    if slot.error is not None:
+        raise slot.error
+    return slot.result
+
+
+def _invert_rows(raw: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """Gather ``raw`` through each row of ``index`` and inverse-transform it
+    into the same row of ``out``, in blocks of at most half of BLOCK_BYTES,
+    since two threads run this at once."""
+    rows = block_rows(2 * 16 * index.shape[1], index.shape[0])
+    for a in range(0, index.shape[0], rows):
+        np.fft.irfft(raw[index[a:a + rows]], out.shape[1], axis=1, out=out[a:a + rows])
 
 
 def _stack_spectrum(channels: np.ndarray, plan: BandPlan, stacked: np.ndarray) -> None:
@@ -212,23 +331,34 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
         # The scale is a power of two, so applying it after the transform
         # gives the same bits as before it, unless a product is subnormal
         # (then after is the more accurate).
-        s = signal.samples
-        raw = _wideband_buffer(plan.n_out, signal.is_complex)[:plan.n_out // 2 + 1]
-        np.fft.rfft(s.real, out=raw)
-        raw[1:(plan.n_out + 1) // 2] *= 2.0
-        raw *= prov.scale
+        s, n_out = signal.samples, plan.n_out
+        raw = _wideband_buffer(n_out, signal.is_complex)[:n_out // 2 + 1]
+
+        def real_plane():
+            np.fft.rfft(s.real, out=raw)
+            raw[1:(n_out + 1) // 2] *= 2.0
+            np.multiply(raw, prov.scale, out=raw)
+
         if signal.is_complex:
-            # The real plane keeps only the real part of DC and Nyquist.
-            raw[0] = s.sum() * prov.scale
-            if plan.n_out % 2 == 0:
-                raw[-1] = (s[::2].sum() - s[1::2].sum()) * prov.scale
+            # The real plane keeps only the real part of DC and Nyquist; the
+            # worker sums the complex samples for them meanwhile.
+            dc, nyquist = _in_parallel(real_plane, lambda: (
+                s.sum(), s[::2].sum() - s[1::2].sum() if n_out % 2 == 0 else None))
+            raw[0] = dc * prov.scale
+            if nyquist is not None:
+                raw[-1] = nyquist * prov.scale
+        else:
+            real_plane()
         # The gather is in channel order, so each block's inverse writes its
         # channels straight into their rows of the array the record adopts.
+        # This thread takes the first half of the channels, the worker the rest.
         channels = np.empty((prov.p, prov.n_samples), dtype=np.float64)
-        rows = block_rows(16 * plan.decode_index.shape[1], prov.p)
-        for a in range(0, prov.p, rows):
-            np.fft.irfft(raw[plan.decode_index[a:a + rows]], prov.n_samples, axis=1,
-                         out=channels[a:a + rows])
+        index, mid = plan.decode_index, prov.p - prov.p // 2
+        if mid == prov.p:  # one channel: nothing to split
+            _invert_rows(raw, index, channels)
+        else:
+            _in_parallel(lambda: _invert_rows(raw, index[:mid], channels[:mid]),
+                         lambda: _invert_rows(raw, index[mid:], channels[mid:]))
     try:
         return adopt(MultiChannelRecord, channels, prov.source_rate_hz, prov.channel_names)
     except ValidationError as exc:

@@ -358,6 +358,18 @@ def test_raw_record_dimension_mismatch(tmp_path):
         bio.read_multichannel(path)
 
 
+@pytest.mark.parametrize("names", [["a"], [], ["a", "b", "c"]])
+def test_raw_record_sidecar_with_the_wrong_number_of_names_is_refused(tmp_path, names):
+    path = tmp_path / "rec.f64"
+    bio.write_multichannel(MultiChannelRecord(np.zeros((2, 4)), 10.0), path, format="raw-f64")
+    sidecar = json.loads((tmp_path / "rec.f64.sidecar").read_text())
+    (tmp_path / "rec.f64.sidecar").write_text(json.dumps({**sidecar, "channel_names": names}))
+    with pytest.raises(FormatError) as refused:
+        bio.read_multichannel(path)
+    assert str(refused.value) == (f"{bio.sidecar_path(path)}: {len(names)} channel_names "
+                                  f"for p=2 channels")
+
+
 def test_raw_record_padded_far_past_its_sidecar_is_refused_unread(tmp_path):
     rec = MultiChannelRecord(np.zeros((2, 32)), 10.0)
     path = tmp_path / "rec.f64"

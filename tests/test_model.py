@@ -278,6 +278,13 @@ def test_wideband_signal_checks_provenance_length():
         WidebandSignal(np.full(8, np.inf), 8.0, prov)
 
 
+@pytest.mark.parametrize("provenance", [{"n_out": 8}, "x", None], ids=["dict", "str", "none"])
+def test_wideband_signal_refuses_provenance_that_is_not_a_header(provenance):
+    with pytest.raises(ValidationError,
+                       match="^provenance must be a SidecarHeader, got (dict|str|NoneType)$"):
+        WidebandSignal(np.zeros(8), 8.0, provenance)
+
+
 def test_wideband_signal_rate_must_match_provenance():
     prov = SidecarHeader(p=1, n_samples=4, source_rate_hz=4.0, target_rate_hz=8.0,
                          mode="real-hermitian", stacking_order=(0,), scale=1.0,

@@ -1,8 +1,13 @@
-"""The per-thread scratch spectrum of encode and decode: memory and threads."""
+"""The per-thread scratch spectrum of encode and decode, and decode's one
+worker thread: memory, threads and forks."""
 
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +20,8 @@ from bandstack.model import (
     MultiChannelRecord,
     TransformConfig,
 )
-from bandstack.transform import _wideband_buffer, decode, encode
+from bandstack import transform
+from bandstack.transform import _in_parallel, _wideband_buffer, decode, encode
 
 # p=4, n=1024 at 1024 Hz into 65536 Hz: n_out = 65536 = 2 * 8*p*n, so the
 # wideband arrays dwarf the channel ones.
@@ -190,3 +196,161 @@ def test_concurrent_encode_decode_matches_serial_bytes():
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(finished) == [0, 1, 2, 3]
     assert mismatches == []
+
+
+# Decodes that split their channels unevenly (p=7: 4 and 3) in every mode.
+_DECODE_CASES = (
+    (7, 64, 1000.0, MODE_PAPER_COMPLEX),
+    (7, 64, 1001.0, MODE_REAL_HERMITIAN),
+    (7, 65, 7 * 2 * 64, MODE_STRICT_LOSSLESS),
+    (2, 48, 200.0, MODE_PAPER_COMPLEX),
+)
+
+
+def _decode_signals():
+    signals = []
+    for i, (p, n, target, mode) in enumerate(_DECODE_CASES):
+        rec = MultiChannelRecord(np.random.default_rng(i).standard_normal((p, n)), float(n))
+        signals.append(encode(rec, TransformConfig(target, p, mode=mode)))
+    return signals
+
+
+def _decode_threads():
+    return [t for t in threading.enumerate() if t.name == "bandstack-decode"]
+
+
+def test_four_threads_decode_like_one(monkeypatch):
+    signals = _decode_signals()
+    with monkeypatch.context() as serial:  # both halves on this thread, one after the other
+        serial.setattr(transform, "_in_parallel", lambda own, other: (own(), other())[1])
+        want = [decode(s).channels.tobytes() for s in signals]
+    mismatches, finished = [], []
+
+    def worker(start):
+        for call in range(100):
+            k = (start + call) % len(signals)
+            if decode(signals[k]).channels.tobytes() != want[k]:
+                mismatches.append((start, call))
+        finished.append(start)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert mismatches == []
+    assert len(_decode_threads()) == 1  # one worker, whatever the number of callers
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_decodes_after_its_parent_has():
+    # the child inherits the parent's record of a worker thread, but not
+    # the thread: its decode must neither wait on that thread nor queue
+    # work for it, but start a worker of its own
+    sig = _decode_signals()[0]
+    want = decode(sig).channels.tobytes()
+    assert _decode_threads()
+    with warnings.catch_warnings():  # Python 3.12 warns about forking with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 3
+        try:
+            signal.alarm(10)
+            same = decode(sig).channels.tobytes() == want
+            code = 0 if same and _decode_threads() else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's decode did not finish within 5 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _on_the_worker(work):
+    """``_in_parallel`` with ``work`` as the worker's half, and this
+    thread's half waiting until the worker has started it, so the worker
+    (not this thread) runs it."""
+    started = threading.Event()
+
+    def other():
+        started.set()
+        return work()
+
+    return _in_parallel(lambda: started.wait(10) or pytest.fail("worker idle"), other)
+
+
+def test_an_exception_in_the_workers_half_reaches_the_caller():
+    error = KeyError("the worker's half")
+
+    def work():
+        raise error
+
+    with pytest.raises(KeyError) as raised:
+        _on_the_worker(work)
+    assert raised.value is error
+    assert _on_the_worker(lambda: 5) == 5  # the worker lives on
+
+
+def test_the_workers_half_runs_in_the_callers_context():
+    with np.errstate(over="raise", invalid="ignore"):
+        name, err = _on_the_worker(lambda: (threading.current_thread().name, np.geterr()))
+    assert name == "bandstack-decode"
+    assert (err["over"], err["invalid"]) == ("raise", "ignore")
+
+
+def test_the_caller_raises_only_after_the_workers_half_is_over():
+    started, finished = threading.Event(), threading.Event()
+
+    def other():
+        started.set()
+        time.sleep(0.2)
+        finished.set()
+
+    def own():
+        assert started.wait(10)
+        raise ValueError("this thread's half")
+
+    with pytest.raises(ValueError, match="this thread's half"):
+        _in_parallel(own, other)
+    assert finished.is_set()
+
+
+def test_a_busy_worker_leaves_the_other_half_to_the_caller():
+    # another thread's work holds the worker, so this thread's calls take
+    # their other halves back: run after its own half, or dropped when it raises
+    occupied, release = threading.Event(), threading.Event()
+    blocker = threading.Thread(target=_on_the_worker,
+                               args=(lambda: occupied.set() or release.wait(10),))
+    blocker.start()
+    ran = []
+
+    def own_raises():
+        raise ValueError("this thread's half")
+
+    try:
+        assert occupied.wait(10)
+        assert _in_parallel(lambda: None, lambda: ran.append("run") or 7) == 7
+        with pytest.raises(ValueError):
+            _in_parallel(own_raises, lambda: ran.append("dropped"))
+    finally:
+        release.set()
+        blocker.join(timeout=10)
+    assert not blocker.is_alive()
+    assert ran == ["run"]
+    assert _on_the_worker(lambda: 5) == 5  # the worker skips the taken-back entries
+    assert ran == ["run"]

@@ -317,6 +317,35 @@ def test_decode_matches_the_masked_gather_bitwise(p, n, n_out, mode):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("p", [1, 2, 7])
+@pytest.mark.parametrize("block_rows", [None, 1, 2])
+def test_decode_on_two_threads_matches_the_oracles(p, mode, block_rows, monkeypatch):
+    # p=1 leaves the worker only the edge sums, 2 splits evenly and 7 gives
+    # this thread 4 channels and the worker 3; blocks of 1 or 2 channels a
+    # thread (16 bins, 256 bytes a channel) also split each half
+    n = 30
+    if block_rows is not None:
+        monkeypatch.setattr(spectrum, "BLOCK_BYTES", 2 * 256 * block_rows)
+    for n_out in (2 * p * (n - 1), 2 * p * (n - 1) + 1, p * n + 1):
+        rec, cfg, plan = _literal_case(p, n, n_out, mode)
+        if mode == MODE_STRICT_LOSSLESS and not plan.lossless:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CollisionWarning)
+            sig = encode(rec, cfg)
+        rng = np.random.default_rng([p, n_out])
+        noise = rng.standard_normal(n_out)
+        if mode == MODE_PAPER_COMPLEX:
+            noise = noise + 1j * rng.standard_normal(n_out)
+        for signal in (sig, WidebandSignal(noise, sig.rate_hz, sig.provenance)):
+            got = decode(signal).channels
+            if mode == MODE_PAPER_COMPLEX:
+                assert rel_max_err(got, decode_real_plane_literal(signal, plan)) < 1e-12
+            else:
+                assert got.tobytes() == decode_masked_literal(signal, plan).tobytes()
+
+
 # _LITERAL_SHAPES plus larger (p, n), each lossless at 2p(n-1), 2p(n-1)+1 and
 # 4x (a long empty gap above the bands), lossy at p*n and 0.3x, and tiny at
 # n_out 2 and 3
