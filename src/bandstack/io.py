@@ -495,12 +495,16 @@ def write_matrix(matrix: np.ndarray, path, format: Optional[str] = None,
 
     ``meta`` (string keys and values) records how the matrix was produced,
     e.g. spectrogram window settings. CSV refuses an entry that its reader
-    would not give back unchanged.
+    would not give back unchanged, and a matrix with no rows or no columns,
+    before it opens the file.
     """
     m = check_array("matrix", matrix, 2)
     check_finite(m, "non-finite matrix entry at ({}, {})")
     meta = {str(k): str(v) for k, v in (meta or {}).items()}
     if _resolve_format(path, format, "matrix") == "csv":
+        if 0 in m.shape:
+            raise ValidationError(f"CSV cannot hold a {m.shape[0]} x {m.shape[1]} matrix "
+                                  f"(raw-f64 can)")
         comments = _csv_meta_text(meta)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# rows={m.shape[0]} cols={m.shape[1]}\n{comments}")

@@ -9,6 +9,8 @@ exactly; nothing here ever zero-pads.
 Encode and decode (transform.py) call numpy.fft directly. Batches that would
 need a large temporary stream their rows through blocks of about
 ``BLOCK_BYTES`` (``block_rows``): decode's gather and the STFT's frames.
+Encode's gather, and paper-complex encode's radix-4 step and peak search,
+walk their bins in blocks of it too.
 ``rfft`` and ``irfft`` transform each row on its own, so the block size
 changes no value. ``forward_fft`` and ``hermitian_extend`` are the
 one-channel reference path: the tests and the benchmark's replay check

@@ -794,6 +794,21 @@ def test_matrix_paper_shape_roundtrip(tmp_path):
     assert back.shape == (513, 621)
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_matrix_empty_is_refused_by_csv_and_kept_by_raw(tmp_path, shape):
+    path = tmp_path / "m.csv"
+    path.write_text("kept\n")
+    with pytest.raises(ValidationError, match="CSV cannot hold"):
+        bio.write_matrix(np.zeros(shape), path)
+    assert path.read_text() == "kept\n"  # refused before the file is opened
+    with pytest.raises(ValidationError, match="CSV cannot hold"):
+        bio.write_matrix(np.zeros(shape), tmp_path / "new.csv")
+    assert not (tmp_path / "new.csv").exists()
+    bio.write_matrix(np.zeros(shape), tmp_path / "m.f64", meta={"k": "v"})
+    back, meta = bio.read_matrix(tmp_path / "m.f64")
+    assert back.shape == shape and meta == {"k": "v"}
+
+
 def test_matrix_one_by_one(tmp_path):
     path = tmp_path / "tiny.csv"
     bio.write_matrix(np.array([[0.0]]), path)

@@ -1,4 +1,4 @@
-"""The per-thread scratch spectrum of encode and decode, and decode's one
+"""The per-thread scratch spectrum of encode and decode, and their one
 worker thread: memory, threads and forks."""
 
 import os
@@ -20,7 +20,7 @@ from bandstack.model import (
     MultiChannelRecord,
     TransformConfig,
 )
-from bandstack import transform
+from bandstack import spectrum, transform
 from bandstack.transform import _in_parallel, _wideband_buffer, decode, encode
 
 # p=4, n=1024 at 1024 Hz into 65536 Hz: n_out = 65536 = 2 * 8*p*n, so the
@@ -215,22 +215,23 @@ def _decode_signals():
     return signals
 
 
-def _decode_threads():
-    return [t for t in threading.enumerate() if t.name == "bandstack-decode"]
+def _worker_threads():
+    return [t for t in threading.enumerate() if t.name == "bandstack-worker"]
 
 
-def test_four_threads_decode_like_one(monkeypatch):
-    signals = _decode_signals()
+def _four_threads_like_one(call, inputs, monkeypatch):
+    """Four threads run ``call`` on ``inputs`` 100 times each, in turn, and
+    get the bytes it gives with both halves of its work on one thread."""
     with monkeypatch.context() as serial:  # both halves on this thread, one after the other
         serial.setattr(transform, "_in_parallel", lambda own, other: (own(), other())[1])
-        want = [decode(s).channels.tobytes() for s in signals]
+        want = [call(x) for x in inputs]
     mismatches, finished = [], []
 
     def worker(start):
-        for call in range(100):
-            k = (start + call) % len(signals)
-            if decode(signals[k]).channels.tobytes() != want[k]:
-                mismatches.append((start, call))
+        for i in range(100):
+            k = (start + i) % len(inputs)
+            if call(inputs[k]) != want[k]:
+                mismatches.append((start, i))
         finished.append(start)
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
@@ -246,7 +247,28 @@ def test_four_threads_decode_like_one(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(finished) == [0, 1, 2, 3]
     assert mismatches == []
-    assert len(_decode_threads()) == 1  # one worker, whatever the number of callers
+    assert len(_worker_threads()) == 1  # one worker, whatever the number of callers
+
+
+def test_four_threads_decode_like_one(monkeypatch):
+    _four_threads_like_one(lambda s: decode(s).channels.tobytes(), _decode_signals(),
+                           monkeypatch)
+
+
+def test_four_threads_encode_like_one(monkeypatch):
+    # paper-complex on the quarter path (n_out 96, 28 and 1024) and off it
+    # (n_out 90), and one real mode, all with blocks of a few bins
+    monkeypatch.setattr(spectrum, "BLOCK_BYTES", 256)
+    inputs = []
+    for i, (p, n, target, mode) in enumerate((
+            (3, 16, 96.0, MODE_PAPER_COMPLEX), (2, 8, 28.0, MODE_PAPER_COMPLEX),
+            (8, 64, 1024.0, MODE_PAPER_COMPLEX), (3, 16, 90.0, MODE_PAPER_COMPLEX),
+            (3, 16, 96.0, MODE_REAL_HERMITIAN))):
+        rec = MultiChannelRecord(np.random.default_rng(i).standard_normal((p, n)), float(n))
+        inputs.append((rec, TransformConfig(target, p, mode=mode)))
+    assert [transform._in_quarters(int(c.target_rate_hz)) for _, c in inputs[:4]] == [
+        True, True, True, False]
+    _four_threads_like_one(lambda x: encode(*x).samples.tobytes(), inputs, monkeypatch)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -256,7 +278,7 @@ def test_a_forked_child_decodes_after_its_parent_has():
     # work for it, but start a worker of its own
     sig = _decode_signals()[0]
     want = decode(sig).channels.tobytes()
-    assert _decode_threads()
+    assert _worker_threads()
     with warnings.catch_warnings():  # Python 3.12 warns about forking with threads
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
@@ -265,7 +287,7 @@ def test_a_forked_child_decodes_after_its_parent_has():
         try:
             signal.alarm(10)
             same = decode(sig).channels.tobytes() == want
-            code = 0 if same and _decode_threads() else 1
+            code = 0 if same and _worker_threads() else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 5.0
@@ -309,7 +331,7 @@ def test_an_exception_in_the_workers_half_reaches_the_caller():
 def test_the_workers_half_runs_in_the_callers_context():
     with np.errstate(over="raise", invalid="ignore"):
         name, err = _on_the_worker(lambda: (threading.current_thread().name, np.geterr()))
-    assert name == "bandstack-decode"
+    assert name == "bandstack-worker"
     assert (err["over"], err["invalid"]) == ("raise", "ignore")
 
 

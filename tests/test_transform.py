@@ -23,7 +23,7 @@ from bandstack.model import (
     ValidationError,
     WidebandSignal,
 )
-from bandstack import spectrum
+from bandstack import spectrum, transform
 from bandstack.spectrum import forward_fft
 from bandstack.transform import _stack_spectrum, decode, encode, roundtrip_report
 from helpers import (
@@ -582,3 +582,111 @@ def test_decode_holds_its_channels_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= back.channels.nbytes + spectrum.BLOCK_BYTES + 2 ** 18
+
+
+def test_encode_gather_copies_at_most_one_block_of_the_source_map():
+    # p=1, n=16 into n_out = 2**21: the source map is 8 MiB of indices that
+    # np.take copies because the plan keeps them read-only
+    plan = build_band_plan(1, 16, 16.0, _cfg(1, float(2 ** 21)))
+    assert plan.source.nbytes > 8 * spectrum.BLOCK_BYTES
+    channels = np.random.default_rng(5).standard_normal((1, 16))
+    stacked = np.empty(plan.n_out // 2 + 1, dtype=np.complex128)
+    _stack_spectrum(channels, plan, stacked)
+    want = stacked.tobytes()
+    tracemalloc.start()
+    try:
+        _stack_spectrum(channels, plan, stacked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stacked.tobytes() == want
+    assert peak <= spectrum.BLOCK_BYTES + 2 ** 16
+
+
+# (p, n, n_out) for paper-complex encode's quarter path: n odd and even, one
+# plan whose Nyquist bin is empty, and one of several butterfly blocks.
+_QUARTER_SHAPES = ((3, 16, 96), (3, 17, 100), (5, 9, 84), (5, 9, 80), (2, 8, 28),
+                   (8, 64, 1024))
+
+
+def _quarter_case(p, n, n_out):
+    rng = np.random.default_rng([p, n, n_out])
+    rec = MultiChannelRecord(rng.standard_normal((p, n)), float(n))
+    order = tuple(int(c) for c in rng.permutation(p))
+    return rec, _cfg(p, float(n_out), mode=MODE_PAPER_COMPLEX, order=order)
+
+
+def _one_ifft(rec, config):
+    """Paper-complex encode's spectrum, stacked and inverted in one ``ifft``."""
+    plan = build_band_plan(rec.p, rec.n_samples, rec.sample_rate_hz, config)
+    stacked = np.empty(plan.n_out, dtype=np.complex128)
+    _stack_spectrum(rec.channels, plan, stacked)
+    return stacked, np.fft.ifft(stacked)
+
+
+def test_quarter_shapes_cover_both_parities_and_the_nyquist_bin():
+    nyquist = set()
+    for p, n, n_out in _QUARTER_SHAPES:
+        stacked, _ = _one_ifft(*_quarter_case(p, n, n_out))
+        nyquist.add(bool(stacked[n_out // 2] != 0))
+    assert nyquist == {True, False}
+    assert {n % 2 for _, n, _ in _QUARTER_SHAPES} == {0, 1}
+    assert all(n_out % 4 == 0 for *_, n_out in _QUARTER_SHAPES)
+
+
+@pytest.mark.parametrize("bytes_per_bin", [None, 2, 16])  # None: blocks of one bin
+@pytest.mark.parametrize("p,n,n_out", _QUARTER_SHAPES)
+def test_quarter_inverse_matches_one_ifft(p, n, n_out, bytes_per_bin, monkeypatch):
+    rec, config = _quarter_case(p, n, n_out)
+    _, want = _one_ifft(rec, config)
+    monkeypatch.setattr(spectrum, "BLOCK_BYTES", bytes_per_bin * n_out if bytes_per_bin else 64)
+    assert transform._in_quarters(n_out)
+    sig = encode(rec, config)
+    got = sig.samples * sig.provenance.scale  # a power of two: exact
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert sig.provenance.scale == transform._normalization_scale(np.abs(want).max())
+    with monkeypatch.context() as serial:  # both halves on this thread
+        serial.setattr(transform, "_in_parallel", lambda own, other: (own(), other())[1])
+        assert encode(rec, config).samples.tobytes() == sig.samples.tobytes()
+    assert rel_max_err(decode(sig).channels, rec.channels) < 1e-9
+
+
+@pytest.mark.parametrize("p,n,n_out,block_bytes", [
+    (3, 16, 90, 64), (3, 16, 91, 64), (3, 17, 102, 64),  # n_out % 4 != 0
+    (4, 16, 120, 16 * 120 + 1),  # one short of the threshold
+    (8, 64, 1024, None),  # below the threshold of the default block
+])
+def test_one_ifft_outside_the_quarter_path(p, n, n_out, block_bytes, monkeypatch):
+    rec, config = _quarter_case(p, n, n_out)
+    _, want = _one_ifft(rec, config)
+    if block_bytes is not None:
+        monkeypatch.setattr(spectrum, "BLOCK_BYTES", block_bytes)
+    assert not transform._in_quarters(n_out)
+    sig = encode(rec, config)
+    assert sig.samples.tobytes() == np.divide(want, sig.provenance.scale).tobytes()
+
+
+def test_quarter_path_rejects_a_record_whose_spectrum_overflows(monkeypatch):
+    rec = MultiChannelRecord(np.full((2, 64), 1.5e308), 10.0)
+    config = _cfg(2, 40.0, mode=MODE_PAPER_COMPLEX)  # n_out = 256
+    monkeypatch.setattr(spectrum, "BLOCK_BYTES", 256)
+    assert transform._in_quarters(256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # none may escape, from either thread
+        with pytest.raises(ValidationError, match="spectrum overflows float64"):
+            encode(rec, config)
+
+
+def test_quarter_path_passes_on_a_nan_peak_from_either_thread(monkeypatch):
+    # max(1.0, nan) is 1.0 in Python, so a NaN peak after a finite one
+    # would be dropped by the wrong combination
+    rec, config = _quarter_case(8, 64, 1024)
+    monkeypatch.setattr(spectrum, "BLOCK_BYTES", 2048)
+    invert = transform._invert_quarters
+    for nan_quarter in range(4):
+        def poisoned(quarters, nan_quarter=nan_quarter):
+            peaks = invert(quarters)
+            return peaks + [np.nan] if nan_quarter in [r for _, r in quarters] else peaks
+        monkeypatch.setattr(transform, "_invert_quarters", poisoned)
+        with pytest.raises(ValidationError, match="spectrum overflows float64"):
+            encode(rec, config)
