@@ -39,11 +39,22 @@ symmetry. The upper-half reads would be wrong anyway: adjacent bands
 structurally overwrite each other's boundary bin, and only the redundant
 conjugate copy is lost there.
 
+In paper-complex, where n_out is a multiple of 8 and at least 262,144
+(``_decodes_in_quarters``), that ``rfft`` runs as four n_out/4-point
+``rfft``s of the real plane's samples r, r+4, r+8, ... (r = 0..3), which
+stay in cache where the full one does not. One radix-4 decimation-in-time
+step (``_combine``), the forward twin of encode's, builds the lower
+n_out/2 + 1 bins from them, and its one product by 2*scale (a power of two)
+doubles and scales them exactly. The edge sums are made per quarter: DC is
+the sum of the four, Nyquist the alternating sum.
+
 Independent work runs on two threads: the calling one and one worker
 thread that every encode and decode in the process shares. In decode the
 worker takes the paper-complex edge sums while the caller runs the
-``rfft``, then the second half of the channels' gathers and inverses while
-the caller does the first half. On paper-complex encode's quarter path it
+``rfft``, or on the quarter path the ``rfft``s and sums of quarters 2 and 3
+and then the upper half of the radix-4 step while the caller does quarters
+0 and 1 and the lower half; then it takes the second half of the channels'
+gathers and inverses while the caller does the first half. On paper-complex encode's quarter path it
 takes the second half of the radix-4 step, then the inverses, peaks and
 samples of quarters 2 and 3 while the caller does quarters 0 and 1. Each
 thread's block of temporaries is at most half of ``BLOCK_BYTES`` (1 MiB), so
@@ -79,7 +90,11 @@ Beside it, each call allocates:
     writes directly, block by block, and on each of its two threads one
     block's complex gather of its channels' n//2 + 1 bins at a time
     (``spectrum.block_rows``: at most half of 1 MiB, so each thread takes
-    15 of 30 channels of n = 10000 in three blocks of 5).
+    15 of 30 channels of n = 10000 in three blocks of 5). On the quarter
+    path nothing of n_out size: the four quarter spectra lie in the held
+    spectrum's upper half, which decode never reads, and the radix-4 step's
+    twiddles and sums come in blocks of at most half of ``BLOCK_BYTES`` per
+    thread.
 
 The signal and the record adopt those arrays and lock them instead of
 copying, so every array encode or decode returns is fresh, read-only and
@@ -137,6 +152,9 @@ def _wideband_buffer(n_out: int, complex_mode: bool) -> np.ndarray:
     """This thread's complex scratch spectrum: n_out bins in paper-complex
     mode, n_out//2 + 1 in the real modes. Like the plan cache it holds one
     entry, and the old array is freed before a new size is allocated.
+    Paper-complex decode reads only the lower n_out//2 + 1 bins; on its
+    quarter path the upper half holds the quarter spectra
+    (``_quarter_bins``).
 
     Allocating the spectrum per call instead is simpler but costs memory
     through glibc's heap layout: three such variants raised the benchmark's
@@ -286,6 +304,24 @@ def _in_quarters(n_out: int) -> bool:
     return n_out % 4 == 0 and 16 * n_out >= spectrum.BLOCK_BYTES
 
 
+def _twiddle_blocks(n: int, start: int, stop: int, m: int, sign: int):
+    """Yield (j0, j1, w^j for j0 <= j < j1) over start..stop in blocks of at
+    most m bins, with w = exp(sign*2*pi*i/n). Every block's twiddles are one
+    table of w^l (l < m) times the block's offset w^j0, written into one
+    array that the next block overwrites, so the table and the twiddles are
+    two temporaries of m bins."""
+    angle = np.arange(m) * (sign * 2 * math.pi / n)
+    table = np.empty(m, dtype=np.complex128)
+    np.cos(angle, out=table.real)
+    np.sin(angle, out=table.imag)
+    del angle
+    w = np.empty(m, dtype=np.complex128)
+    for j0 in range(start, stop, m):
+        j1 = min(j0 + m, stop)
+        yield j0, j1, np.multiply(table[:j1 - j0], cmath.exp(sign * 2j * math.pi * j0 / n),
+                                  out=w[:j1 - j0])
+
+
 def _butterfly(s: np.ndarray, start: int, stop: int) -> None:
     """One radix-4 decimation-in-time step over bins start..stop of each
     quarter of the one-sided spectrum ``s``, in place.
@@ -298,21 +334,14 @@ def _butterfly(s: np.ndarray, start: int, stop: int) -> None:
     s[2q], which Q2[0] overwrites, is the caller's to add.
 
     Two threads run this at once, so each block's four temporaries (the
-    table of w^l, whose product with w^j0 gives the block's twiddles, and
-    three more) take at most half of BLOCK_BYTES."""
+    twiddle table, the block's twiddles and two more) take at most half of
+    BLOCK_BYTES."""
     n = s.shape[0]
     q = n // 4
     m = max(1, min(stop - start, spectrum.BLOCK_BYTES // (2 * 4 * 16)))
-    angle = np.arange(m) * (2 * math.pi / n)
-    table = np.empty(m, dtype=np.complex128)
-    np.cos(angle, out=table.real)
-    np.sin(angle, out=table.imag)
-    del angle
-    for j0 in range(start, stop, m):
-        j1 = min(j0 + m, stop)
+    for j0, j1, w in _twiddle_blocks(n, start, stop, m, 1):
         a, b = s[j0:j1], s[q + j0:q + j1]
         q2, q3 = s[2 * q + j0:2 * q + j1], s[3 * q + j0:3 * q + j1]
-        w = table[:j1 - j0] * cmath.exp(2j * math.pi * j0 / n)
         ib = b * 1j
         ww = w * w
         np.multiply(np.subtract(a, b, out=q2), ww, out=q2)
@@ -338,6 +367,115 @@ def _interleave(quarters, factor: float, samples: np.ndarray) -> None:
     ``samples[r::4]``."""
     for x, r in quarters:
         np.multiply(x, factor, out=samples[r::4])
+
+
+# Decode's quarter path starts where the samples (16*n_out bytes) fill four
+# blocks of the default size. It is fixed at import, unlike the blocks: a
+# block size that moved it would change the bits a decode gives.
+_DECODE_QUARTERS_BYTES = 4 * spectrum.BLOCK_BYTES
+
+
+def _decodes_in_quarters(n_out: int) -> bool:
+    """Whether decode transforms a paper-complex real plane of n_out
+    samples as four quarter-length ``rfft``s: where n_out is a multiple of 8
+    and 16*n_out >= ``_DECODE_QUARTERS_BYTES`` (n_out >= 262,144).
+
+    Decode's front end (the plane's spectrum, doubled and scaled, and the
+    two edge sums) timed in a bare loop on a 2-vCPU Xeon VM, quarters over
+    one ``rfft``: the range of the ratio of medians over four runs of 21 or
+    41 alternating rounds, half of them with the caches flushed before each
+    call, and two more runs of 61 rounds at 131,072 and 786,432:
+
+        n_out       quarters / one rfft
+        65,536      0.98 - 1.14
+        131,072     0.77 - 1.36
+        262,144     0.59 - 0.77
+        524,288     0.62 - 0.90
+        786,432     0.72 - 1.22
+        983,040     0.82 - 0.90
+        1,048,576   0.83 - 0.92
+    """
+    return n_out % 8 == 0 and 16 * n_out >= _DECODE_QUARTERS_BYTES
+
+
+def _quarter_bins(x: np.ndarray) -> tuple:
+    """Where decode's quarter path holds Y_r, the q/2 + 1 ``rfft`` bins of
+    the real plane's samples r, r+4, r+8, ..., in its n_out-bin buffer
+    ``x`` (q = n_out/4): Y0 where the lower bins of the plane's spectrum
+    are written, Y1 to Y3 in the upper half, which decode does not read.
+    They fit where q >= 8 (n_out >= 32)."""
+    q = x.shape[0] // 4
+    h = q // 2 + 1
+    return (x[:h],) + tuple(x[2 * q + 1 + k * h:2 * q + 1 + (k + 1) * h] for k in range(3))
+
+
+def _combine(x: np.ndarray, start: int, stop: int, factor: float) -> None:
+    """Bins j, q - j, q + j and 2q - j of the real plane's spectrum, for
+    start <= j < stop, from the quarter spectra ``_quarter_bins(x)``, times
+    ``factor``, into ``x``.
+
+    With q = n_out/4, w = exp(-2*pi*i/n_out), A = Y0[j], B = w^j Y1[j],
+    C = w^2j Y2[j] and D = w^3j Y3[j] (one radix-4 decimation-in-time step):
+    X[j] = A+B+C+D, X[q+j] = A-iB-C+iD, X[q-j] = conj(A+iB-C-iD) and
+    X[2q-j] = conj(A-B+C-D). Each block reads its A before writing, and no
+    other block writes there, so j = 0..q/2 yields bins 0..2q in place.
+
+    Two threads run this at once, so each block's six temporaries (the
+    twiddle table, the block's twiddles and four more) take at most half of
+    BLOCK_BYTES."""
+    n = x.shape[0]
+    q = n // 4
+    y0, y1, y2, y3 = _quarter_bins(x)
+    m = max(1, min(stop - start, spectrum.BLOCK_BYTES // (2 * 6 * 16)))
+    work = np.empty((4, m), dtype=np.complex128)
+    for j0, j1, w in _twiddle_blocks(n, start, stop, m, -1):
+        b, ww, c, plus = work[:, :j1 - j0]
+        np.multiply(y1[j0:j1], w, out=b)
+        np.multiply(y2[j0:j1], np.multiply(w, w, out=ww), out=c)
+        d = np.multiply(y3[j0:j1], np.multiply(ww, w, out=ww), out=ww)
+        a = y0[j0:j1]
+        np.add(a, c, out=plus)
+        minus = np.subtract(a, c, out=c)
+        r = np.add(b, d, out=w)
+        it = np.multiply(np.subtract(b, d, out=d), 1j, out=b)
+        for v in (plus, minus, r, it):
+            np.multiply(v, factor, out=v)
+        np.add(plus, r, out=x[j0:j1])
+        np.subtract(minus, it, out=x[q + j0:q + j1])
+        np.conjugate(np.add(minus, it, out=minus), out=x[q - j0:q - j1:-1])
+        np.conjugate(np.subtract(plus, r, out=plus), out=x[2 * q - j0:2 * q - j1:-1])
+
+
+def _real_plane_in_quarters(s: np.ndarray, x: np.ndarray, scale: float) -> tuple:
+    """Decode's quarter path: the ``rfft`` of ``s.real`` into the lower
+    n_out//2 + 1 bins of ``x``, interior bins doubled and all times
+    ``scale``, and the complex sums of ``s`` for DC and Nyquist.
+
+    This thread transforms and sums quarters 0 and 1 while the worker does
+    2 and 3; then each combines half of the bins."""
+    ys = _quarter_bins(x)
+
+    def quarters(rs):
+        sums = []
+        for r in rs:
+            np.fft.rfft(s.real[r::4], out=ys[r])
+            sums.append(s[r::4].sum())
+        return sums
+
+    own = []
+    other = _in_parallel(lambda: own.extend(quarters((0, 1))), lambda: quarters((2, 3)))
+    s0, s1, s2, s3 = own + other
+    # 2*scale is a power of two, so one product doubles and scales exactly;
+    # it overflows only at scale 2**1023, where the doubling is a pass of its own.
+    folded = scale < 2.0 ** 1023
+    factor = 2.0 * scale if folded else scale
+    q = x.shape[0] // 4
+    _in_parallel(lambda: _combine(x, 0, q // 4, factor),
+                 lambda: _combine(x, q // 4, q // 2 + 1, factor))
+    if not folded:
+        x[:2 * q + 1] *= 2.0
+    # (-1)^k is (-1)^r at k = 4t + r.
+    return (s0 + s1) + (s2 + s3), (s0 - s1) + (s2 - s3)
 
 
 def encode(record: MultiChannelRecord, config: TransformConfig) -> WidebandSignal:
@@ -431,23 +569,27 @@ def decode(signal: WidebandSignal) -> MultiChannelRecord:
         # gives the same bits as before it, unless a product is subnormal
         # (then after is the more accurate).
         s, n_out = signal.samples, plan.n_out
-        raw = _wideband_buffer(n_out, signal.is_complex)[:n_out // 2 + 1]
+        buffer = _wideband_buffer(n_out, signal.is_complex)
+        raw = buffer[:n_out // 2 + 1]
 
         def real_plane():
             np.fft.rfft(s.real, out=raw)
             raw[1:(n_out + 1) // 2] *= 2.0
             np.multiply(raw, prov.scale, out=raw)
 
-        if signal.is_complex:
+        if signal.is_complex and _decodes_in_quarters(n_out):
+            dc, nyquist = _real_plane_in_quarters(s, buffer, prov.scale)
+        elif signal.is_complex:
             # The real plane keeps only the real part of DC and Nyquist; the
             # worker sums the complex samples for them meanwhile.
             dc, nyquist = _in_parallel(real_plane, lambda: (
                 s.sum(), s[::2].sum() - s[1::2].sum() if n_out % 2 == 0 else None))
+        else:
+            real_plane()
+        if signal.is_complex:
             raw[0] = dc * prov.scale
             if nyquist is not None:
                 raw[-1] = nyquist * prov.scale
-        else:
-            real_plane()
         # The gather is in channel order, so each block's inverse writes its
         # channels straight into their rows of the array the record adopts.
         # This thread takes the first half of the channels, the worker the rest.

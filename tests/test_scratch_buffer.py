@@ -251,8 +251,16 @@ def _four_threads_like_one(call, inputs, monkeypatch):
 
 
 def test_four_threads_decode_like_one(monkeypatch):
-    _four_threads_like_one(lambda s: decode(s).channels.tobytes(), _decode_signals(),
-                           monkeypatch)
+    # paper-complex n_out 1000 (a multiple of 8) and 200 off decode's quarter
+    # path, and 1024 on it, with a lower threshold and blocks of a few bins
+    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 1024)
+    monkeypatch.setattr(spectrum, "BLOCK_BYTES", 1024)
+    rec = MultiChannelRecord(np.random.default_rng(9).standard_normal((5, 64)), 64.0)
+    quartered = encode(rec, TransformConfig(1024.0, 5, mode=MODE_PAPER_COMPLEX))
+    signals = _decode_signals() + [quartered]
+    assert [transform._decodes_in_quarters(s.n_out) for s in signals if s.is_complex] == [
+        False, False, True]
+    _four_threads_like_one(lambda s: decode(s).channels.tobytes(), signals, monkeypatch)
 
 
 def test_four_threads_encode_like_one(monkeypatch):

@@ -690,3 +690,148 @@ def test_quarter_path_passes_on_a_nan_peak_from_either_thread(monkeypatch):
         monkeypatch.setattr(transform, "_invert_quarters", poisoned)
         with pytest.raises(ValidationError, match="spectrum overflows float64"):
             encode(rec, config)
+
+
+# (p, n, n_out) for paper-complex decode's quarter path, n_out a multiple of
+# 8: p = 1, 2 and 7, n odd and even, at the lossless length and above it,
+# and the smallest length the quarter layout fits (n_out = 32).
+_DECODE_QUARTER_SHAPES = ((1, 16, 32), (1, 9, 40), (2, 16, 64), (2, 9, 96), (7, 30, 408),
+                          (7, 31, 840), (7, 64, 1024))
+
+
+def _one_rfft_spectrum(s, scale):
+    """The paper-complex real plane's spectrum as one ``rfft`` gives it:
+    interior doubled, all times ``scale``, DC and Nyquist from sums of the
+    complex samples."""
+    n_out = s.shape[0]
+    raw = np.fft.rfft(s.real)
+    raw[1:(n_out + 1) // 2] *= 2.0
+    np.multiply(raw, scale, out=raw)
+    raw[0] = s.sum() * scale
+    if n_out % 2 == 0:
+        raw[-1] = (s[::2].sum() - s[1::2].sum()) * scale
+    return raw
+
+
+def _one_rfft_decode(signal):
+    """Paper-complex decode with its spectrum from one ``rfft``."""
+    prov = signal.provenance
+    plan = build_band_plan(prov.p, prov.n_samples, prov.source_rate_hz, _cfg(
+        prov.p, prov.target_rate_hz, prov.mode, prov.stacking_order))
+    raw = _one_rfft_spectrum(signal.samples, prov.scale)
+    return np.fft.irfft(raw[plan.decode_index], prov.n_samples, axis=1)
+
+
+def _decode_quarter_signals(p, n, n_out):
+    """An encoded record in a permuted order, complex noise, and noise with
+    neither DC nor Nyquist content."""
+    rng = np.random.default_rng([p, n, n_out])
+    rec = MultiChannelRecord(rng.standard_normal((p, n)), float(n))
+    order = tuple(int(c) for c in rng.permutation(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
+        sig = encode(rec, _cfg(p, float(n_out), MODE_PAPER_COMPLEX, order))
+    noise = rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)
+    spectrum_ = np.fft.fft(noise)
+    spectrum_[[0, n_out // 2]] = 0
+    return [sig] + [WidebandSignal(x, sig.rate_hz, sig.provenance)
+                    for x in (noise, np.fft.ifft(spectrum_))]
+
+
+def test_decode_quarter_shapes_cover_the_edges_and_both_parities():
+    sums = set()
+    for shape in _DECODE_QUARTER_SHAPES:
+        for sig in _decode_quarter_signals(*shape):
+            s = sig.samples
+            sums.add((abs(s.sum()) > 1e-9, abs(s[::2].sum() - s[1::2].sum()) > 1e-9))
+    assert sums == {(True, True), (False, False), (True, False)}
+    assert {n % 2 for _, n, _ in _DECODE_QUARTER_SHAPES} == {0, 1}
+    assert {p for p, _, _ in _DECODE_QUARTER_SHAPES} == {1, 2, 7}
+    assert all(n_out % 8 == 0 for *_, n_out in _DECODE_QUARTER_SHAPES)
+
+
+@pytest.mark.parametrize("block_bytes", [64, 576, 4096, None])  # 64: blocks of one bin
+@pytest.mark.parametrize("p,n,n_out", _DECODE_QUARTER_SHAPES)
+def test_decode_quarters_match_one_rfft(p, n, n_out, block_bytes, monkeypatch):
+    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 32)
+    if block_bytes is not None:
+        monkeypatch.setattr(spectrum, "BLOCK_BYTES", block_bytes)
+    assert transform._decodes_in_quarters(n_out)
+    for sig in _decode_quarter_signals(p, n, n_out):
+        s, scale = sig.samples, sig.provenance.scale
+        want = _one_rfft_spectrum(s, scale)
+        x = np.full(n_out, complex(np.nan, np.nan))  # every bin must be written
+        dc, nyquist = transform._real_plane_in_quarters(s, x, scale)
+        got = x[:n_out // 2 + 1]
+        got[0], got[-1] = dc * scale, nyquist * scale
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        channels = decode(sig).channels
+        want_channels = _one_rfft_decode(sig)
+        assert rel_max_err(channels, want_channels) < 1e-13
+        with monkeypatch.context() as serial:  # both halves on this thread
+            serial.setattr(transform, "_in_parallel", lambda own, other: (own(), other())[1])
+            assert decode(sig).channels.tobytes() == channels.tobytes()
+
+
+@pytest.mark.parametrize("p,n,n_out,threshold", [
+    (3, 16, 100, 96), (3, 16, 102, 96), (3, 17, 101, 96),  # n_out % 8 != 0
+    (4, 16, 120, 128),  # a multiple of 8 one short of the threshold
+    (4, 64, 2 ** 17, None),  # below the default threshold
+])
+def test_one_rfft_outside_the_decode_quarter_path(p, n, n_out, threshold, monkeypatch):
+    if threshold is not None:
+        monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * threshold)
+    assert not transform._decodes_in_quarters(n_out)
+    for sig in _decode_quarter_signals(p, n, n_out):
+        assert decode(sig).channels.tobytes() == _one_rfft_decode(sig).tobytes()
+
+
+def test_decode_quarters_are_fixed_by_the_length_alone(monkeypatch):
+    # a block size cannot move a length on or off the quarter path
+    for block_bytes in (64, 336, 2 ** 30):
+        monkeypatch.setattr(spectrum, "BLOCK_BYTES", block_bytes)
+        assert [transform._decodes_in_quarters(n) for n in (560, 2 ** 17, 2 ** 18, 983040)] == [
+            False, False, True, True]
+
+
+def test_decode_quarters_reject_an_overflowing_scale(monkeypatch):
+    # a tampered file: a stored sample of 3 with the largest legal scale
+    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 64)
+    sig = _decode_quarter_signals(2, 16, 64)[0]
+    samples = sig.samples.copy()
+    samples[0] = 3.0
+    forged = WidebandSignal(samples, sig.rate_hz,
+                            dataclasses.replace(sig.provenance, scale=2.0 ** 1023))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # none may escape, from either thread
+        with pytest.raises(DecodeError, match=r"wideband spectrum overflows .* 2\*\*1023"):
+            decode(forged)
+
+
+def test_decode_quarters_double_apart_at_the_largest_scale(monkeypatch):
+    # 2 * 2**1023 overflows, but a small enough spectrum times 2**1024 does
+    # not: the quarter path decodes it like one rfft, zero bins included
+    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 64)
+    sig = _decode_quarter_signals(2, 16, 64)[0]
+    forged = WidebandSignal(sig.samples * 2.0 ** -40, sig.rate_hz,
+                            dataclasses.replace(sig.provenance, scale=2.0 ** 1023))
+    want = _one_rfft_decode(forged)
+    assert np.isfinite(want).all()
+    assert rel_max_err(decode(forged).channels, want) < 1e-13
+
+
+def test_quarter_decode_holds_its_channels_and_one_block():
+    # n_out = 2**18 at the default threshold: no n_out array beside the
+    # held spectrum, and at most half a block of temporaries per thread
+    rec = MultiChannelRecord(np.random.default_rng(18).standard_normal((4, 1024)), 1024.0)
+    sig = encode(rec, _cfg(4, float(2 ** 18), MODE_PAPER_COMPLEX))
+    assert transform._decodes_in_quarters(sig.n_out)
+    decode(sig)  # builds the plan and this thread's scratch
+    tracemalloc.start()
+    try:
+        back = decode(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel_max_err(back.channels, rec.channels) < 1e-9
+    assert peak <= back.channels.nbytes + spectrum.BLOCK_BYTES + 2 ** 18
