@@ -835,3 +835,41 @@ def test_quarter_decode_holds_its_channels_and_one_block():
         tracemalloc.stop()
     assert rel_max_err(back.channels, rec.channels) < 1e-9
     assert peak <= back.channels.nbytes + spectrum.BLOCK_BYTES + 2 ** 18
+
+
+# Paper-complex lengths at the default thresholds: both quarter paths at
+# 2**18, encode's quarters beside decode's one rfft at 65,536 and 65,540
+# (n_out % 8 == 4), and neither at the odd 262,145.
+_QUARTER_PIN_LENGTHS = (2 ** 18, 65536, 65540, 262145)
+# sha256 of the encoded samples, sidecars and decoded channels (encoded and
+# noise signals) of those lengths, then of _QUARTER_SHAPES and
+# _DECODE_QUARTER_SHAPES with both thresholds forced low.
+_QUARTER_PIN_DIGEST = "ad0e178f8f1ed1931c2d385cf044e403f54fd13db6a92b13ce695180a906eac1"
+
+
+def _pin_quarter_case(digest, p, n, n_out):
+    rng = np.random.default_rng([p, n, n_out])
+    rec = MultiChannelRecord(rng.standard_normal((p, n)), float(n))
+    order = tuple(int(c) for c in rng.permutation(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollisionWarning)
+        sig = encode(rec, _cfg(p, float(n_out), MODE_PAPER_COMPLEX, order))
+    noise = rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)
+    digest.update(sig.samples.tobytes())
+    digest.update(sig.provenance.to_json().encode())
+    for signal in (sig, WidebandSignal(noise, sig.rate_hz, sig.provenance)):
+        digest.update(decode(signal).channels.tobytes())
+
+
+def test_quarter_paths_are_bitwise_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    for n_out in _QUARTER_PIN_LENGTHS:
+        _pin_quarter_case(digest, 4, 1024, n_out)
+    # Blocks of 448 bytes, which 16 * 28 bytes (the smallest shape) fill, put
+    # every shape with n_out % 4 == 0 on encode's quarter path, and every one
+    # from n_out = 32 with n_out % 8 == 0 on decode's.
+    monkeypatch.setattr(spectrum, "BLOCK_BYTES", 448)
+    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 32)
+    for shape in _QUARTER_SHAPES + _DECODE_QUARTER_SHAPES:
+        _pin_quarter_case(digest, *shape)
+    assert digest.hexdigest() == _QUARTER_PIN_DIGEST
