@@ -6,11 +6,12 @@ unnormalized sum X[k] = sum_n x[n] exp(-2j*pi*k*n/N); the inverse carries the
 are 1 and no wrapper scaling is needed. Arbitrary lengths are supported
 exactly; nothing here ever zero-pads.
 
-Encode and decode (transform.py) call numpy.fft directly. Batches that would
-need a large temporary stream their rows through blocks of about
-``BLOCK_BYTES`` (``block_rows``): decode's gather and the STFT's frames.
-Encode's gather, and paper-complex encode's radix-4 step and peak search,
-walk their bins in blocks of it too.
+Encode and decode (transform.py, and _fft.py for their wideband FFTs)
+call numpy.fft directly. Batches that would need a large temporary stream
+their rows through blocks of about ``BLOCK_BYTES`` (``block_rows``):
+decode's gather and the STFT's frames. Encode's gather, the radix-4 steps
+of both quarter paths and the inverse's peak search walk their bins in
+blocks of it too; which lengths take a quarter path does not depend on it.
 ``rfft`` and ``irfft`` transform each row on its own, so the block size
 changes no value. ``forward_fft`` and ``hermitian_extend`` are the
 one-channel reference path: the tests and the benchmark's replay check

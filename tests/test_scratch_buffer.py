@@ -20,8 +20,9 @@ from bandstack.model import (
     MultiChannelRecord,
     TransformConfig,
 )
-from bandstack import spectrum, transform
-from bandstack.transform import _in_parallel, _wideband_buffer, decode, encode
+from bandstack import _fft, spectrum
+from bandstack._fft import _in_parallel
+from bandstack.transform import decode, encode
 
 # p=4, n=1024 at 1024 Hz into 65536 Hz: n_out = 65536 = 2 * 8*p*n, so the
 # wideband arrays dwarf the channel ones.
@@ -62,9 +63,9 @@ def test_paper_complex_encode_holds_two_wideband_arrays_at_most():
 
 def test_a_new_length_frees_the_old_scratch_before_allocating():
     def switch_lengths():
-        old = _wideband_buffer(2 ** 17, True).nbytes
+        old = _fft._scratch_spectrum(2 ** 17, True).nbytes
         tracemalloc.reset_peak()
-        new = _wideband_buffer(2 ** 15, False).nbytes
+        new = _fft._scratch_spectrum(2 ** 15, False).nbytes
         return old, new, tracemalloc.get_traced_memory()[0]
 
     peak, (old, new, current) = _traced_peak(switch_lengths)
@@ -146,7 +147,7 @@ def test_returned_arrays_are_locked_and_never_the_scratch(mode):
     cfg = TransformConfig(_TARGET, _P, mode=mode)
     sig = encode(_record(), cfg)
     decoded = decode(sig)
-    scratch = _wideband_buffer(sig.n_out, sig.is_complex)
+    scratch = _fft._scratch_spectrum(sig.n_out, sig.is_complex)
     for array in (sig.samples, decoded.channels):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="WRITEABLE"):
@@ -223,7 +224,7 @@ def _four_threads_like_one(call, inputs, monkeypatch):
     """Four threads run ``call`` on ``inputs`` 100 times each, in turn, and
     get the bytes it gives with both halves of its work on one thread."""
     with monkeypatch.context() as serial:  # both halves on this thread, one after the other
-        serial.setattr(transform, "_in_parallel", lambda own, other: (own(), other())[1])
+        serial.setattr(_fft, "_in_parallel", lambda own, other: (own(), other()))
         want = [call(x) for x in inputs]
     mismatches, finished = [], []
 
@@ -253,12 +254,12 @@ def _four_threads_like_one(call, inputs, monkeypatch):
 def test_four_threads_decode_like_one(monkeypatch):
     # paper-complex n_out 1000 (a multiple of 8) and 200 off decode's quarter
     # path, and 1024 on it, with a lower threshold and blocks of a few bins
-    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 1024)
+    monkeypatch.setitem(_fft._QUARTERS, "forward", (8, 1024))
     monkeypatch.setattr(spectrum, "BLOCK_BYTES", 1024)
     rec = MultiChannelRecord(np.random.default_rng(9).standard_normal((5, 64)), 64.0)
     quartered = encode(rec, TransformConfig(1024.0, 5, mode=MODE_PAPER_COMPLEX))
     signals = _decode_signals() + [quartered]
-    assert [transform._decodes_in_quarters(s.n_out) for s in signals if s.is_complex] == [
+    assert [_fft._quartered("forward", s.n_out) for s in signals if s.is_complex] == [
         False, False, True]
     _four_threads_like_one(lambda s: decode(s).channels.tobytes(), signals, monkeypatch)
 
@@ -266,6 +267,7 @@ def test_four_threads_decode_like_one(monkeypatch):
 def test_four_threads_encode_like_one(monkeypatch):
     # paper-complex on the quarter path (n_out 96, 28 and 1024) and off it
     # (n_out 90), and one real mode, all with blocks of a few bins
+    monkeypatch.setitem(_fft._QUARTERS, "inverse", (4, 16))
     monkeypatch.setattr(spectrum, "BLOCK_BYTES", 256)
     inputs = []
     for i, (p, n, target, mode) in enumerate((
@@ -274,7 +276,7 @@ def test_four_threads_encode_like_one(monkeypatch):
             (3, 16, 96.0, MODE_REAL_HERMITIAN))):
         rec = MultiChannelRecord(np.random.default_rng(i).standard_normal((p, n)), float(n))
         inputs.append((rec, TransformConfig(target, p, mode=mode)))
-    assert [transform._in_quarters(int(c.target_rate_hz)) for _, c in inputs[:4]] == [
+    assert [_fft._quartered("inverse", int(c.target_rate_hz)) for _, c in inputs[:4]] == [
         True, True, True, False]
     _four_threads_like_one(lambda x: encode(*x).samples.tobytes(), inputs, monkeypatch)
 
@@ -312,16 +314,16 @@ def test_a_forked_child_decodes_after_its_parent_has():
 
 
 def _on_the_worker(work):
-    """``_in_parallel`` with ``work`` as the worker's half, and this
-    thread's half waiting until the worker has started it, so the worker
-    (not this thread) runs it."""
+    """What ``work`` returns as the worker's half of ``_in_parallel``, with
+    this thread's half waiting until the worker has started it, so the
+    worker (not this thread) runs it."""
     started = threading.Event()
 
     def other():
         started.set()
         return work()
 
-    return _in_parallel(lambda: started.wait(10) or pytest.fail("worker idle"), other)
+    return _in_parallel(lambda: started.wait(10) or pytest.fail("worker idle"), other)[1]
 
 
 def test_an_exception_in_the_workers_half_reaches_the_caller():
@@ -374,7 +376,7 @@ def test_a_busy_worker_leaves_the_other_half_to_the_caller():
 
     try:
         assert occupied.wait(10)
-        assert _in_parallel(lambda: None, lambda: ran.append("run") or 7) == 7
+        assert _in_parallel(lambda: 6, lambda: ran.append("run") or 7) == (6, 7)
         with pytest.raises(ValueError):
             _in_parallel(own_raises, lambda: ran.append("dropped"))
     finally:

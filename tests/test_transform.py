@@ -23,7 +23,7 @@ from bandstack.model import (
     ValidationError,
     WidebandSignal,
 )
-from bandstack import spectrum, transform
+from bandstack import _fft, spectrum, transform
 from bandstack.spectrum import forward_fft
 from bandstack.transform import _stack_spectrum, decode, encode, roundtrip_report
 from helpers import (
@@ -510,10 +510,9 @@ def test_encode_gather_equals_the_literal_scatter_bitwise(p, n, f_s, F_s, order_
             plan = build_band_plan(p, n, f_s, _cfg(p, F_s, mode, order))
         except InfeasibleError:  # strict-lossless below the rate floor
             continue
-        size = n_out if mode == MODE_PAPER_COMPLEX else n_out // 2 + 1
-        got = np.full(size, complex(np.nan, np.nan))  # every bin must be written
+        got = np.full(n_out // 2 + 1, complex(np.nan, np.nan))  # every bin must be written
         _stack_spectrum(channels, plan, got)
-        assert got.tobytes() == want[:size].tobytes(), (mode, order)
+        assert got.tobytes() == want[:n_out // 2 + 1].tobytes(), (mode, order)
 
 
 def test_roundtrip_nonintegral_duration_product():
@@ -619,8 +618,8 @@ def _quarter_case(p, n, n_out):
 def _one_ifft(rec, config):
     """Paper-complex encode's spectrum, stacked and inverted in one ``ifft``."""
     plan = build_band_plan(rec.p, rec.n_samples, rec.sample_rate_hz, config)
-    stacked = np.empty(plan.n_out, dtype=np.complex128)
-    _stack_spectrum(rec.channels, plan, stacked)
+    stacked = np.zeros(plan.n_out, dtype=np.complex128)
+    _stack_spectrum(rec.channels, plan, stacked[:plan.n_out // 2 + 1])
     return stacked, np.fft.ifft(stacked)
 
 
@@ -639,29 +638,30 @@ def test_quarter_shapes_cover_both_parities_and_the_nyquist_bin():
 def test_quarter_inverse_matches_one_ifft(p, n, n_out, bytes_per_bin, monkeypatch):
     rec, config = _quarter_case(p, n, n_out)
     _, want = _one_ifft(rec, config)
+    monkeypatch.setitem(_fft._QUARTERS, "inverse", (4, n_out))
     monkeypatch.setattr(spectrum, "BLOCK_BYTES", bytes_per_bin * n_out if bytes_per_bin else 64)
-    assert transform._in_quarters(n_out)
+    assert _fft._quartered("inverse", n_out)
     sig = encode(rec, config)
     got = sig.samples * sig.provenance.scale  # a power of two: exact
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     assert sig.provenance.scale == transform._normalization_scale(np.abs(want).max())
     with monkeypatch.context() as serial:  # both halves on this thread
-        serial.setattr(transform, "_in_parallel", lambda own, other: (own(), other())[1])
+        serial.setattr(_fft, "_in_parallel", lambda own, other: (own(), other()))
         assert encode(rec, config).samples.tobytes() == sig.samples.tobytes()
     assert rel_max_err(decode(sig).channels, rec.channels) < 1e-9
 
 
-@pytest.mark.parametrize("p,n,n_out,block_bytes", [
+@pytest.mark.parametrize("p,n,n_out,threshold", [
     (3, 16, 90, 64), (3, 16, 91, 64), (3, 17, 102, 64),  # n_out % 4 != 0
-    (4, 16, 120, 16 * 120 + 1),  # one short of the threshold
-    (8, 64, 1024, None),  # below the threshold of the default block
+    (4, 16, 120, 121),  # one short of the threshold
+    (8, 64, 1024, None),  # below the default threshold
 ])
-def test_one_ifft_outside_the_quarter_path(p, n, n_out, block_bytes, monkeypatch):
+def test_one_ifft_outside_the_quarter_path(p, n, n_out, threshold, monkeypatch):
     rec, config = _quarter_case(p, n, n_out)
     _, want = _one_ifft(rec, config)
-    if block_bytes is not None:
-        monkeypatch.setattr(spectrum, "BLOCK_BYTES", block_bytes)
-    assert not transform._in_quarters(n_out)
+    if threshold is not None:
+        monkeypatch.setitem(_fft._QUARTERS, "inverse", (4, threshold))
+    assert not _fft._quartered("inverse", n_out)
     sig = encode(rec, config)
     assert sig.samples.tobytes() == np.divide(want, sig.provenance.scale).tobytes()
 
@@ -669,8 +669,9 @@ def test_one_ifft_outside_the_quarter_path(p, n, n_out, block_bytes, monkeypatch
 def test_quarter_path_rejects_a_record_whose_spectrum_overflows(monkeypatch):
     rec = MultiChannelRecord(np.full((2, 64), 1.5e308), 10.0)
     config = _cfg(2, 40.0, mode=MODE_PAPER_COMPLEX)  # n_out = 256
+    monkeypatch.setitem(_fft._QUARTERS, "inverse", (4, 256))
     monkeypatch.setattr(spectrum, "BLOCK_BYTES", 256)
-    assert transform._in_quarters(256)
+    assert _fft._quartered("inverse", 256)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # none may escape, from either thread
         with pytest.raises(ValidationError, match="spectrum overflows float64"):
@@ -681,13 +682,14 @@ def test_quarter_path_passes_on_a_nan_peak_from_either_thread(monkeypatch):
     # max(1.0, nan) is 1.0 in Python, so a NaN peak after a finite one
     # would be dropped by the wrong combination
     rec, config = _quarter_case(8, 64, 1024)
+    monkeypatch.setitem(_fft._QUARTERS, "inverse", (4, 1024))
     monkeypatch.setattr(spectrum, "BLOCK_BYTES", 2048)
-    invert = transform._invert_quarters
+    invert = _fft._invert_quarters
     for nan_quarter in range(4):
         def poisoned(quarters, nan_quarter=nan_quarter):
             peaks = invert(quarters)
             return peaks + [np.nan] if nan_quarter in [r for _, r in quarters] else peaks
-        monkeypatch.setattr(transform, "_invert_quarters", poisoned)
+        monkeypatch.setattr(_fft, "_invert_quarters", poisoned)
         with pytest.raises(ValidationError, match="spectrum overflows float64"):
             encode(rec, config)
 
@@ -753,15 +755,15 @@ def test_decode_quarter_shapes_cover_the_edges_and_both_parities():
 @pytest.mark.parametrize("block_bytes", [64, 576, 4096, None])  # 64: blocks of one bin
 @pytest.mark.parametrize("p,n,n_out", _DECODE_QUARTER_SHAPES)
 def test_decode_quarters_match_one_rfft(p, n, n_out, block_bytes, monkeypatch):
-    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 32)
+    monkeypatch.setitem(_fft._QUARTERS, "forward", (8, 32))
     if block_bytes is not None:
         monkeypatch.setattr(spectrum, "BLOCK_BYTES", block_bytes)
-    assert transform._decodes_in_quarters(n_out)
+    assert _fft._quartered("forward", n_out)
     for sig in _decode_quarter_signals(p, n, n_out):
         s, scale = sig.samples, sig.provenance.scale
         want = _one_rfft_spectrum(s, scale)
         x = np.full(n_out, complex(np.nan, np.nan))  # every bin must be written
-        dc, nyquist = transform._real_plane_in_quarters(s, x, scale)
+        dc, nyquist = _fft._real_plane_in_quarters(s, x, scale)
         got = x[:n_out // 2 + 1]
         got[0], got[-1] = dc * scale, nyquist * scale
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -769,7 +771,7 @@ def test_decode_quarters_match_one_rfft(p, n, n_out, block_bytes, monkeypatch):
         want_channels = _one_rfft_decode(sig)
         assert rel_max_err(channels, want_channels) < 1e-13
         with monkeypatch.context() as serial:  # both halves on this thread
-            serial.setattr(transform, "_in_parallel", lambda own, other: (own(), other())[1])
+            serial.setattr(_fft, "_in_parallel", lambda own, other: (own(), other()))
             assert decode(sig).channels.tobytes() == channels.tobytes()
 
 
@@ -780,23 +782,26 @@ def test_decode_quarters_match_one_rfft(p, n, n_out, block_bytes, monkeypatch):
 ])
 def test_one_rfft_outside_the_decode_quarter_path(p, n, n_out, threshold, monkeypatch):
     if threshold is not None:
-        monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * threshold)
-    assert not transform._decodes_in_quarters(n_out)
+        monkeypatch.setitem(_fft._QUARTERS, "forward", (8, threshold))
+    assert not _fft._quartered("forward", n_out)
     for sig in _decode_quarter_signals(p, n, n_out):
         assert decode(sig).channels.tobytes() == _one_rfft_decode(sig).tobytes()
 
 
 def test_decode_quarters_are_fixed_by_the_length_alone(monkeypatch):
-    # a block size cannot move a length on or off the quarter path
+    # a block size cannot move a length on or off either quarter path
+    lengths = (560, 2 ** 15, 65540, 2 ** 17, 2 ** 17 + 2, 2 ** 18, 983040)
     for block_bytes in (64, 336, 2 ** 30):
         monkeypatch.setattr(spectrum, "BLOCK_BYTES", block_bytes)
-        assert [transform._decodes_in_quarters(n) for n in (560, 2 ** 17, 2 ** 18, 983040)] == [
-            False, False, True, True]
+        assert [_fft._quartered("forward", n) for n in lengths] == [
+            False, False, False, False, False, True, True]
+        assert [_fft._quartered("inverse", n) for n in lengths] == [
+            False, False, True, True, False, True, True]
 
 
 def test_decode_quarters_reject_an_overflowing_scale(monkeypatch):
     # a tampered file: a stored sample of 3 with the largest legal scale
-    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 64)
+    monkeypatch.setitem(_fft._QUARTERS, "forward", (8, 64))
     sig = _decode_quarter_signals(2, 16, 64)[0]
     samples = sig.samples.copy()
     samples[0] = 3.0
@@ -811,7 +816,7 @@ def test_decode_quarters_reject_an_overflowing_scale(monkeypatch):
 def test_decode_quarters_double_apart_at_the_largest_scale(monkeypatch):
     # 2 * 2**1023 overflows, but a small enough spectrum times 2**1024 does
     # not: the quarter path decodes it like one rfft, zero bins included
-    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 64)
+    monkeypatch.setitem(_fft._QUARTERS, "forward", (8, 64))
     sig = _decode_quarter_signals(2, 16, 64)[0]
     forged = WidebandSignal(sig.samples * 2.0 ** -40, sig.rate_hz,
                             dataclasses.replace(sig.provenance, scale=2.0 ** 1023))
@@ -825,7 +830,7 @@ def test_quarter_decode_holds_its_channels_and_one_block():
     # held spectrum, and at most half a block of temporaries per thread
     rec = MultiChannelRecord(np.random.default_rng(18).standard_normal((4, 1024)), 1024.0)
     sig = encode(rec, _cfg(4, float(2 ** 18), MODE_PAPER_COMPLEX))
-    assert transform._decodes_in_quarters(sig.n_out)
+    assert _fft._quartered("forward", sig.n_out)
     decode(sig)  # builds the plan and this thread's scratch
     tracemalloc.start()
     try:
@@ -865,11 +870,11 @@ def test_quarter_paths_are_bitwise_pinned(monkeypatch):
     digest = hashlib.sha256()
     for n_out in _QUARTER_PIN_LENGTHS:
         _pin_quarter_case(digest, 4, 1024, n_out)
-    # Blocks of 448 bytes, which 16 * 28 bytes (the smallest shape) fill, put
-    # every shape with n_out % 4 == 0 on encode's quarter path, and every one
-    # from n_out = 32 with n_out % 8 == 0 on decode's.
+    # Every shape with n_out % 4 == 0 on encode's quarter path, every one
+    # with n_out % 8 == 0 on decode's, and blocks of 448 bytes.
+    monkeypatch.setitem(_fft._QUARTERS, "inverse", (4, 28))
+    monkeypatch.setitem(_fft._QUARTERS, "forward", (8, 32))
     monkeypatch.setattr(spectrum, "BLOCK_BYTES", 448)
-    monkeypatch.setattr(transform, "_DECODE_QUARTERS_BYTES", 16 * 32)
     for shape in _QUARTER_SHAPES + _DECODE_QUARTER_SHAPES:
         _pin_quarter_case(digest, *shape)
     assert digest.hexdigest() == _QUARTER_PIN_DIGEST
