@@ -412,13 +412,13 @@ def invert_rows(raw: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
     inverse FFT, of ``out.shape[1]`` samples, into the same row of ``out``:
     the first ceil(rows/2) rows on this thread, the rest on the worker. Each
     thread inverts its rows in blocks of at most half of BLOCK_BYTES."""
-    def rows(a, b):
-        step = spectrum.block_rows(2 * 16 * index.shape[1], b - a)
-        for c in range(a, b, step):
-            np.fft.irfft(raw[index[c:c + step]], out.shape[1], axis=1, out=out[c:c + step])
+    def rows(index, out):  # each thread's own views, so no block spills over
+        step = spectrum.block_rows(2 * 16 * index.shape[1], index.shape[0])
+        for a in range(0, index.shape[0], step):
+            np.fft.irfft(raw[index[a:a + step]], out.shape[1], axis=1, out=out[a:a + step])
 
-    p = index.shape[0]
-    if p == 1:  # nothing to split
-        rows(0, 1)
+    mid = index.shape[0] - index.shape[0] // 2
+    if mid == index.shape[0]:  # one row: nothing to split
+        rows(index, out)
     else:
-        _in_parallel(lambda: rows(0, p - p // 2), lambda: rows(p - p // 2, p))
+        _in_parallel(lambda: rows(index[:mid], out[:mid]), lambda: rows(index[mid:], out[mid:]))

@@ -137,6 +137,38 @@ def test_invert_rows_matches_one_batched_irfft(p):
     assert out.tobytes() == np.fft.irfft(raw[index], n, axis=1).tobytes()
 
 
+# (rows, rows per block): each thread's share, 3 of 5 or 6 and 7 of 14, is
+# no multiple of its evenly split blocks (2 + 1 and 4 + 3 rows).
+@pytest.mark.parametrize("p, block", [(5, 2), (6, 2), (14, 6)])
+def test_invert_rows_inverts_each_row_once(p, block, monkeypatch):
+    rng = np.random.default_rng([p, block])
+    n = 100
+    raw = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    index = rng.integers(0, raw.shape[0], size=(p, n // 2 + 1))
+    want = np.fft.irfft(raw[index], n, axis=1)
+    monkeypatch.setattr(_fft.spectrum, "BLOCK_BYTES", block * 2 * 16 * index.shape[1])
+    out = np.full((p, n), np.nan)
+    invert_rows(raw, index, out)  # on two threads
+    assert out.tobytes() == want.tobytes()
+
+    written = []
+    irfft = np.fft.irfft
+
+    def counted(a, n, axis, out):
+        first = (out.ctypes.data - whole.ctypes.data) // whole.strides[0]
+        written.extend(range(first, first + out.shape[0]))
+        assert a.shape[0] == out.shape[0] <= block
+        return irfft(a, n, axis=axis, out=out)
+
+    whole = np.full((p, n), np.nan)
+    monkeypatch.setattr(_fft, "_in_parallel", _serial("own first", []))
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    invert_rows(raw, index, whole)
+    monkeypatch.undo()
+    assert written == list(range(p))
+    assert whole.tobytes() == want.tobytes()
+
+
 def _serial(order, handoffs):
     """A stand-in for ``_fft._in_parallel`` that runs both halves on this
     thread, in ``order``, and counts its calls in ``handoffs``."""
