@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from functools import lru_cache
@@ -177,10 +176,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_info(args) -> int:
-    candidate = args.path if str(args.path).endswith(".sidecar") \
-        else bio.sidecar_path(args.path)
-    if not os.path.exists(candidate):
-        raise FileNotFoundError(f"no sidecar at {candidate}")
     payload = bio.read_sidecar_file(args.path)
     for key in sorted(payload):
         print(f"{key}: {payload[key]}")

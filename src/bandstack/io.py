@@ -121,23 +121,27 @@ def _read_raw(path, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _read_sidecar(path, kind=None) -> dict:
+    """``<path>.sidecar`` as read_sidecar accepts it, its errors led by that path;
+    a data read cannot go on without it, so a missing one is a FormatError."""
     sc = sidecar_path(path)
     if not os.path.exists(sc):
         raise FormatError(f"missing sidecar {sc}")
-    with open(sc, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"sidecar {sc} is not UTF-8 text: {exc}") from exc
-    return read_sidecar(text, kind)
+    try:
+        with open(sc, encoding="utf-8") as fh:
+            return read_sidecar(fh.read(), kind)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"sidecar {sc} is not UTF-8 text: {exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{sc}: {exc}") from exc
 
 
 def read_sidecar_file(path) -> dict:
-    """Parse and check a sidecar (given its own path or the data file's path)."""
-    payload = _read_sidecar(os.fspath(path).removesuffix(".sidecar"))
-    if payload["kind"] == "wideband":
-        SidecarHeader.from_payload(payload)  # its invariants span several fields
-    return payload
+    """Parse and check a sidecar (given its own path or the data file's path);
+    FileNotFoundError if there is none."""
+    data = os.fspath(path).removesuffix(".sidecar")
+    if not os.path.exists(sidecar_path(data)):
+        raise FileNotFoundError(f"no sidecar at {sidecar_path(data)}")
+    return _read_sidecar(data)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +282,8 @@ def read_multichannel(path, format: Optional[str] = None,
     if _resolve_format(path, format, "record") == "csv":
         return _read_csv_record(path, rate_hz)
     payload = _read_sidecar(path, "record")
-    names = payload.get("channel_names")
-    if names is not None and len(names) != payload["p"]:
-        raise FormatError(f"{sidecar_path(path)}: {len(names)} channel_names for "
-                          f"p={payload['p']} channels")
     return adopt(MultiChannelRecord, _read_raw(path, (payload["p"], payload["n_samples"])),
-                 payload["source_rate_hz"], names)
+                 payload["source_rate_hz"], payload.get("channel_names"))
 
 
 def _read_csv_record(path, rate_hz):
@@ -453,9 +453,6 @@ def write_wideband(signal: WidebandSignal, path, format: Optional[str] = None) -
     check_type("signal", signal, WidebandSignal)
     fmt = _resolve_format(path, format, "wideband")
     samples = signal.samples
-    if fmt == "wav-f32" and signal.is_complex:
-        raise ValidationError(
-            "complex-mode signal cannot be exported as WAV (not playable); use raw-f64")
     sidecar = replace(signal.provenance, data_format=fmt).to_json()  # checked before any write
     if fmt == "raw-f64":
         _write_raw(path, np.stack([samples.real, samples.imag]) if signal.is_complex

@@ -4,16 +4,17 @@ A wideband waveform alone cannot be decoded: the channel count, source rate,
 sample count, mode, band order and amplitude scale are not recoverable from
 samples. SidecarHeader carries them. In memory it doubles as the provenance
 object embedded in every WidebandSignal; on disk it is a small JSON file next
-to the data (``<data>.sidecar``). Raw records and matrices have sidecars too,
-holding only their dimensions.
+to the data (``<data>.sidecar``). Raw records (dimensions, rate, channel
+names) and raw matrices (dimensions, meta) have sidecars too.
 
 Every sidecar kind (wideband, record, matrix) is written by one builder,
-sidecar_text, which stamps the format version and kind, and read by one
-strict reader, read_sidecar. Floats survive bit-exactly (shortest-repr round
-trip); unknown keys, unsupported versions and fields of the wrong type or
-range are rejected rather than ignored or coerced, so a future or tampered
-writer cannot silently feed this reader. A SidecarHeader passes the reader's
-field checks when it is built, so every header reads back from its own JSON.
+sidecar_text, which stamps the format version and kind, and checked only by
+one strict reader, read_sidecar. Floats survive bit-exactly (shortest-repr
+round trip); unknown or repeated keys, unsupported versions, fields of the
+wrong type or range and fields that disagree are rejected, not ignored or
+coerced, so a future or tampered writer cannot silently feed this reader. A
+SidecarHeader passes the reader's field checks when built, so every header
+reads back from its own JSON.
 """
 
 from __future__ import annotations
@@ -98,16 +99,26 @@ def _check_fields(kind: str, fields: dict, error: type = FormatError) -> None:
                         f"got {fields[name]!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"sidecar repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_sidecar(text: str, kind: Optional[str] = None) -> dict:
     """Parse and check one sidecar of ``kind`` (any known kind when None).
 
-    Returns the JSON payload as written. Raises FormatError for bad JSON,
-    another version or kind, unknown or missing fields, and any field of the
-    wrong type or range. A wideband payload's cross-field invariants are
-    checked by SidecarHeader.from_payload.
+    Returns the JSON payload as written. Raises FormatError for bad JSON, a
+    repeated key, another version or kind, unknown or missing fields, fields
+    of the wrong type or range, a record's channel_names not p long, and a
+    wideband payload that does not build a SidecarHeader.
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"sidecar is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -121,6 +132,11 @@ def read_sidecar(text: str, kind: Optional[str] = None) -> dict:
         raise FormatError(f"expected a {kind or ' or '.join(_FIELDS)} sidecar, "
                           f"got kind={found!r}")
     _check_fields(found, payload)
+    names = payload.get("channel_names")
+    if found == "record" and names is not None and len(names) != payload["p"]:
+        raise FormatError(f"{len(names)} channel_names for p={payload['p']} channels")
+    if found == "wideband":
+        SidecarHeader.from_payload(payload)
     return payload
 
 
@@ -160,7 +176,8 @@ class SidecarHeader:
                                   f"got {self.scale!r}")
         object.__setattr__(self, "scale", float(self.scale))
         if self.mode == MODE_PAPER_COMPLEX and self.data_format == "wav-f32":
-            raise ValidationError("paper-complex signals cannot live in WAV")
+            raise ValidationError("paper-complex signals cannot live in WAV (not playable); "
+                                  "use raw-f64")
 
     @property
     def n_out(self) -> int:

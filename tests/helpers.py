@@ -11,9 +11,11 @@ oracle is the masked-doubling gather that decode replaced (and, for
 paper-complex, the direct DFT of the real plane with direct edge sums), the CSV reader
 and writer are the cell-by-cell loops that the block versions replaced, and
 the feature oracles are the per-channel band loop and the fancy-index STFT
-gather that the batched features replaced, and the band-noise oracle is the
-per-channel loop that the batched generator replaced. Expected values in the
-test modules were computed with these.
+gather that the batched features replaced, the band-noise oracle is the
+per-channel loop that the batched generator replaced, the wideband forward
+oracle is one ``rfft`` in place of the quarter transforms, and the serial
+stand-in runs both halves of a two-thread step on one thread. Expected
+values in the test modules were computed with these.
 """
 
 from __future__ import annotations
@@ -207,6 +209,34 @@ def collisions_literal(assignments, n_out):
             if last_writer[int(idx[j])] != (b, j):
                 return collision_count, False, (b, j)
     return collision_count, True, None
+
+
+def one_rfft_spectrum(s, scale) -> np.ndarray:
+    """Bins 0..n_out/2 of one ``rfft`` of the real plane of ``s``, interior
+    doubled, then times ``scale``; for complex ``s``, DC and Nyquist from
+    sums of the complex samples."""
+    n_out = s.shape[0]
+    raw = np.fft.rfft(s.real)
+    raw[1:(n_out + 1) // 2] *= 2.0
+    raw *= scale
+    if s.dtype.kind == "c":
+        raw[0] = s.sum() * scale
+        if n_out % 2 == 0:
+            raw[-1] = (s[::2].sum() - s[1::2].sum()) * scale
+    return raw
+
+
+def serial_in_parallel(order="own first", handoffs=None):
+    """A stand-in for ``_fft._in_parallel`` that runs both halves on this
+    thread, in ``order``, and counts its calls in ``handoffs``."""
+    def in_parallel(own, other):
+        if handoffs is not None:
+            handoffs.append(order)
+        if order == "own first":
+            return own(), other()
+        theirs = other()
+        return own(), theirs
+    return in_parallel
 
 
 def stft_magnitude_literal(x, window, overlap, paper_shape=False, log=False) -> np.ndarray:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from bandstack import io as bio
 from bandstack.cli import main
-from bandstack.model import BandstackError, MultiChannelRecord, TransformConfig
+from bandstack.model import BandstackError, FormatError, MultiChannelRecord, TransformConfig
 from bandstack.transform import decode, encode
 
 
@@ -104,7 +104,8 @@ def damaged_data(draw):
 
 def _outcome_is_clean(name, data, sidecar):
     """Read the artifact in the library and through the CLI; every error must
-    be a BandstackError or an OSError and every exit code in {0, 1, 2, 3}."""
+    be a BandstackError or an OSError and every exit code in {0, 1, 2, 3}, and
+    ``info`` must refuse a sidecar that the library read refuses."""
     kind = ARTIFACTS[name][0]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
@@ -120,16 +121,23 @@ def _outcome_is_clean(name, data, sidecar):
             warnings.simplefilter("error")  # a numpy RuntimeWarning is a failure too
             try:
                 read()
-            except (BandstackError, OSError):
-                pass
+                refused = None
+            except (BandstackError, OSError) as exc:
+                refused = exc
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 codes = [main(argv) for argv in argvs]
     assert set(codes) <= {0, 1, 2, 3}, codes
+    if codes[0] == 0:
+        assert not (isinstance(refused, FormatError)
+                    and bio.sidecar_path(path) in str(refused)), refused
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(edit=sidecar_edits())
+# one channel name for p = 2: the record read refused it and info printed it
+@example(edit=("record.f64", json.dumps({**ARTIFACTS["record.f64"][2],
+                                         "channel_names": ["a"]}, indent=2).encode()))
 def test_fuzzed_sidecars_fail_cleanly(edit):
     name, sidecar = edit
     _outcome_is_clean(name, ARTIFACTS[name][1], sidecar)

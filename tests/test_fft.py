@@ -7,6 +7,7 @@ import pytest
 
 from bandstack import _fft
 from bandstack._fft import invert_rows, wideband_forward, wideband_inverse
+from helpers import one_rfft_spectrum, serial_in_parallel
 
 # n_out -> whether the inverse takes its quarter path at the default rule:
 # multiples of 4 each side of 65,536, a multiple of 2 above it, and the
@@ -77,21 +78,6 @@ def test_real_inverse_matches_one_irfft(n_out):
     assert samples.tobytes() == np.divide(want, 4.0).tobytes()
 
 
-def _one_rfft(s, scale):
-    """Bins 0..n_out/2 of one ``rfft`` of the real plane of ``s``, interior
-    doubled, then times ``scale``; for complex ``s``, DC and Nyquist from
-    sums of the complex samples."""
-    n_out = s.shape[0]
-    raw = np.fft.rfft(s.real)
-    raw[1:(n_out + 1) // 2] *= 2.0
-    raw *= scale
-    if s.dtype.kind == "c":
-        raw[0] = s.sum() * scale
-        if n_out % 2 == 0:
-            raw[-1] = (s[::2].sum() - s[1::2].sum()) * scale
-    return raw
-
-
 def _forward(s, scale):
     """wideband_forward of ``s``, with NaN in its scratch before the call."""
     _fft._scratch_spectrum(s.shape[0], s.dtype.kind == "c")[:] = complex(np.nan, np.nan)
@@ -109,7 +95,7 @@ def _noise(n_out, complex_mode, seed=0):
 def test_paper_complex_forward_matches_one_rfft(n_out, scale):
     # at 2**1023, where 2*scale overflows, samples of 2**-40 stay finite
     s = _noise(n_out, True) * (2.0 ** -40 if scale == 2.0 ** 1023 else 1.0)
-    want = _one_rfft(s, scale)
+    want = one_rfft_spectrum(s, scale)
     with np.errstate(over="raise"):
         got = _forward(s, scale)
     assert got.shape == (n_out // 2 + 1,)
@@ -123,7 +109,7 @@ def test_paper_complex_forward_matches_one_rfft(n_out, scale):
 @pytest.mark.parametrize("n_out", sorted(_FORWARD_LENGTHS))
 def test_real_forward_matches_one_rfft(n_out):
     s = _noise(n_out, False)
-    assert _forward(s, 2.0 ** -5).tobytes() == _one_rfft(s, 2.0 ** -5).tobytes()
+    assert _forward(s, 2.0 ** -5).tobytes() == one_rfft_spectrum(s, 2.0 ** -5).tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 7])
@@ -161,24 +147,12 @@ def test_invert_rows_inverts_each_row_once(p, block, monkeypatch):
         return irfft(a, n, axis=axis, out=out)
 
     whole = np.full((p, n), np.nan)
-    monkeypatch.setattr(_fft, "_in_parallel", _serial("own first", []))
+    monkeypatch.setattr(_fft, "_in_parallel", serial_in_parallel())
     monkeypatch.setattr(np.fft, "irfft", counted)
     invert_rows(raw, index, whole)
     monkeypatch.undo()
     assert written == list(range(p))
     assert whole.tobytes() == want.tobytes()
-
-
-def _serial(order, handoffs):
-    """A stand-in for ``_fft._in_parallel`` that runs both halves on this
-    thread, in ``order``, and counts its calls in ``handoffs``."""
-    def in_parallel(own, other):
-        handoffs.append(order)
-        if order == "own first":
-            return own(), other()
-        theirs = other()
-        return own(), theirs
-    return in_parallel
 
 
 def _every_call():
@@ -219,7 +193,7 @@ def test_one_thread_gives_the_bytes_of_two(order, monkeypatch):
     for name, call in calls:
         handoffs = []
         with monkeypatch.context() as serial:
-            serial.setattr(_fft, "_in_parallel", _serial(order, handoffs))
+            serial.setattr(_fft, "_in_parallel", serial_in_parallel(order, handoffs))
             got = call()
         assert len(handoffs) == _HANDOFFS[name], name
         assert got == want[name], name

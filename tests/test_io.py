@@ -368,6 +368,7 @@ def test_raw_record_sidecar_with_the_wrong_number_of_names_is_refused(tmp_path, 
         bio.read_multichannel(path)
     assert str(refused.value) == (f"{bio.sidecar_path(path)}: {len(names)} channel_names "
                                   f"for p=2 channels")
+    assert main(["info", str(path)]) == 2
 
 
 def test_raw_record_padded_far_past_its_sidecar_is_refused_unread(tmp_path):
@@ -613,6 +614,11 @@ def test_complex_mode_refuses_wav(tmp_path):
     _, sig = _encode_small(mode=MODE_PAPER_COMPLEX)
     with pytest.raises(ValidationError, match="not playable"):
         bio.write_wideband(sig, tmp_path / "no.wav", format="wav-f32")
+    _, real = _encode_small()
+    forged = WidebandSignal(real.samples + 1j, real.rate_hz, real.provenance)
+    with pytest.raises(ValidationError, match="samples must be real"):
+        bio.write_wideband(forged, tmp_path / "no.wav")
+    assert not list(tmp_path.glob("no.wav*"))
 
 
 def test_wav_wideband_quantization_bound(tmp_path):
@@ -693,8 +699,33 @@ def test_bad_sidecar_field_rejected(tmp_path, capsys, kind, field, value):
     sc.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match=field):
         read(path)
-    assert main(argv) == 2
-    assert field in capsys.readouterr().err
+    for command in (argv, ["info", str(path)]):
+        assert main(command) == 2
+        assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["wideband", "matrix"])
+def test_a_sidecar_key_given_twice_is_refused(tmp_path, capsys, kind):
+    # json.loads alone keeps the last value of a repeated key
+    path = tmp_path / "a.f64"
+    if kind == "wideband":
+        bio.write_wideband(_encode_small()[1], path)
+        read, argvs = bio.read_wideband, [["decode", str(path), str(tmp_path / "o.csv")]]
+        key, twice = "scale", '"scale": 1024.0, "scale"'
+    else:
+        bio.write_matrix(np.zeros((2, 3)), path, meta={"window": 8})
+        read, argvs = bio.read_matrix, []
+        key, twice = "window", '"window": "16", "window"'
+    sc = tmp_path / "a.f64.sidecar"
+    text = sc.read_text()
+    assert text.count(f'"{key}"') == 1
+    sc.write_text(text.replace(f'"{key}"', twice))
+    with pytest.raises(FormatError) as refused:
+        read(path)
+    assert str(refused.value) == f"{sc}: sidecar repeats the key '{key}'"
+    for argv in argvs + [["info", str(path)]]:
+        assert main(argv) == 2
+        assert f"repeats the key '{key}'" in capsys.readouterr().err
 
 
 def test_sidecar_with_a_huge_channel_count_is_rejected_cheaply(tmp_path):

@@ -23,6 +23,7 @@ from bandstack.model import (
 from bandstack import _fft, spectrum
 from bandstack._fft import _in_parallel
 from bandstack.transform import decode, encode
+from helpers import serial_in_parallel
 
 # p=4, n=1024 at 1024 Hz into 65536 Hz: n_out = 65536 = 2 * 8*p*n, so the
 # wideband arrays dwarf the channel ones.
@@ -224,7 +225,7 @@ def _four_threads_like_one(call, inputs, monkeypatch):
     """Four threads run ``call`` on ``inputs`` 100 times each, in turn, and
     get the bytes it gives with both halves of its work on one thread."""
     with monkeypatch.context() as serial:  # both halves on this thread, one after the other
-        serial.setattr(_fft, "_in_parallel", lambda own, other: (own(), other()))
+        serial.setattr(_fft, "_in_parallel", serial_in_parallel())
         want = [call(x) for x in inputs]
     mismatches, finished = [], []
 

@@ -33,7 +33,9 @@ from helpers import (
     direct_idft,
     hermitian_fold_literal,
     random_record,
+    one_rfft_spectrum,
     rel_max_err,
+    serial_in_parallel,
     stack_literal,
 )
 
@@ -646,7 +648,7 @@ def test_quarter_inverse_matches_one_ifft(p, n, n_out, bytes_per_bin, monkeypatc
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     assert sig.provenance.scale == transform._normalization_scale(np.abs(want).max())
     with monkeypatch.context() as serial:  # both halves on this thread
-        serial.setattr(_fft, "_in_parallel", lambda own, other: (own(), other()))
+        serial.setattr(_fft, "_in_parallel", serial_in_parallel())
         assert encode(rec, config).samples.tobytes() == sig.samples.tobytes()
     assert rel_max_err(decode(sig).channels, rec.channels) < 1e-9
 
@@ -701,26 +703,12 @@ _DECODE_QUARTER_SHAPES = ((1, 16, 32), (1, 9, 40), (2, 16, 64), (2, 9, 96), (7, 
                           (7, 31, 840), (7, 64, 1024))
 
 
-def _one_rfft_spectrum(s, scale):
-    """The paper-complex real plane's spectrum as one ``rfft`` gives it:
-    interior doubled, all times ``scale``, DC and Nyquist from sums of the
-    complex samples."""
-    n_out = s.shape[0]
-    raw = np.fft.rfft(s.real)
-    raw[1:(n_out + 1) // 2] *= 2.0
-    np.multiply(raw, scale, out=raw)
-    raw[0] = s.sum() * scale
-    if n_out % 2 == 0:
-        raw[-1] = (s[::2].sum() - s[1::2].sum()) * scale
-    return raw
-
-
 def _one_rfft_decode(signal):
     """Paper-complex decode with its spectrum from one ``rfft``."""
     prov = signal.provenance
     plan = build_band_plan(prov.p, prov.n_samples, prov.source_rate_hz, _cfg(
         prov.p, prov.target_rate_hz, prov.mode, prov.stacking_order))
-    raw = _one_rfft_spectrum(signal.samples, prov.scale)
+    raw = one_rfft_spectrum(signal.samples, prov.scale)
     return np.fft.irfft(raw[plan.decode_index], prov.n_samples, axis=1)
 
 
@@ -761,7 +749,7 @@ def test_decode_quarters_match_one_rfft(p, n, n_out, block_bytes, monkeypatch):
     assert _fft._quartered("forward", n_out)
     for sig in _decode_quarter_signals(p, n, n_out):
         s, scale = sig.samples, sig.provenance.scale
-        want = _one_rfft_spectrum(s, scale)
+        want = one_rfft_spectrum(s, scale)
         x = np.full(n_out, complex(np.nan, np.nan))  # every bin must be written
         dc, nyquist = _fft._real_plane_in_quarters(s, x, scale)
         got = x[:n_out // 2 + 1]
@@ -771,7 +759,7 @@ def test_decode_quarters_match_one_rfft(p, n, n_out, block_bytes, monkeypatch):
         want_channels = _one_rfft_decode(sig)
         assert rel_max_err(channels, want_channels) < 1e-13
         with monkeypatch.context() as serial:  # both halves on this thread
-            serial.setattr(_fft, "_in_parallel", lambda own, other: (own(), other()))
+            serial.setattr(_fft, "_in_parallel", serial_in_parallel())
             assert decode(sig).channels.tobytes() == channels.tobytes()
 
 
