@@ -10,7 +10,7 @@ radix-4 decimation-in-time step splits its inverse (``_butterfly``) and
 its real plane's forward transform (``_combine``) into four n_out/4-point
 FFTs, which stay in cache where the full one does not. Each direction takes
 its quarter path where the table's rule says, and one FFT everywhere else
-and in the real modes. The rule depends on n_out alone and is fixed at
+in paper-complex. The rule depends on n_out alone and is fixed at
 import (``_QUARTERS``), so no block size moves a length on or off a quarter
 path and changes its bits. The times are of the quarters over the one FFT
 on a 2-vCPU VM: inverse, a whole 8-channel encode in a bare loop (six
@@ -39,11 +39,46 @@ with the caches flushed:
 two of its six runs (the quarter ``rfft`` of 196,608 points may be a slow
 pocketfft length there): no workload runs that length.
 
+The real modes split lengths with a large prime factor instead, where
+pocketfft runs Bluestein's algorithm over the whole length: about 2*n_out
+points of scratch, out of cache. With n_out = a*b, a its 2*3*5-smooth part,
+the rule (``_SPLIT``) is a >= 4, a prime factor of b above 500 and
+n_out >= 8,000. There each direction runs a FFTs of b points (row r holds
+samples r, r+a, r+2a, ...), one twiddle pass and b//2 + 1 FFTs of a points
+(``_split_rfft``, ``_split_irfft``; Bailey's four-step split), and its
+output differs from the one FFT only in rounding (below 1e-14 of the peak).
+The rule, too, depends on n_out alone, and a smooth length is classified
+once 2, 3 and 5 are divided out. Times in ms, one FFT / split, of the bare
+transform on a 2-vCPU VM (medians of 9 alternating rounds):
+
+    n_out       a x b         rfft          irfft
+    4,036       4 x 1,009     0.36 / 0.30   0.38 / 0.36   below the floor
+    8,012       4 x 2,003     1.03 / 0.59   0.98 / 0.76
+    32,048      16 x 2,003    2.65 / 1.32   2.63 / 1.41
+    250,004     4 x 62,501    45.7 / 21.5   46.2 / 24.7
+    250,064     16 x 15,629   48.2 / 12.8   47.0 / 15.1
+    250,080     480 x 521     49.5 / 8.5    47.4 / 10.1
+    1,000,016   16 x 62,501   229 / 57.6    228 / 65.8
+    250,006     2 x 125,003   49.1 / 46.9   49.3 / 50.7   a < 4
+    237,216     96 x 2,471    9.8 / 8.5     9.1 / 8.8     largest prime 353
+    214,608     48 x 4,471    7.3 / 8.0     7.0 / 7.8     largest prime 263
+    197,024     32 x 6,157    5.1 / 5.6     4.9 / 5.9     largest prime 131
+
+Across 39 of the files-csv-wav workload's lengths (n_out = 16*n, n from
+12,000 to 18,000 in steps of 157), the 22 with a prime factor above 500 ran
+the split in 0.20 to 0.49 of the one FFT's time, each way, and the 15 whose
+largest prime was 263 or less in 0.89 to 2.08. At a = 512 the split also won
+at primes from 251 to 491 (pocketfft's direct passes grow with the prime),
+but the rule leaves them alone.
+
 Threads. Independent work runs on the calling thread and one worker thread
 that every encode and decode in the process shares (``_in_parallel``): the
 worker takes the second half of each radix-4 step and quarters 2 and 3 on
-the quarter paths, the paper-complex edge sums beside one ``rfft``, and the
-second half of the channels in ``invert_rows``. Each thread's block of
+the quarter paths, the paper-complex edge sums beside one ``rfft``, the
+second half of the rows and of the columns of the real-mode split, and the
+second half of the channels in ``invert_rows``. (On the shared 2-vCPU VM
+of the split's table, the split ran as fast on one CPU as on two: its gain
+is the factorisation's.) Each thread's block of
 temporaries is at most half of ``spectrum.BLOCK_BYTES`` (read at call time),
 so the two together hold no more than one block. They run the same numpy
 calls on the same data, so every output bit is the one a single thread
@@ -72,6 +107,32 @@ _QUARTERS = {"inverse": (4, 65_536), "forward": (8, 262_144)}
 def _quartered(direction: str, n_out: int) -> bool:
     divisor, least = _QUARTERS[direction]
     return n_out % divisor == 0 and n_out >= least
+
+
+# The split's length rule: (least a, least largest prime factor of b, least
+# n_out), with n_out = a*b and a its 2*3*5-smooth part.
+_SPLIT = (4, 500, 8_000)
+
+
+def _split(n_out: int):
+    """(a, b) where the real-mode wideband FFTs of n_out points run as a
+    b-point FFTs and b a-point FFTs (``_split_rfft``, ``_split_irfft``),
+    else None."""
+    least_a, least_prime, least_n = _SPLIT
+    b = n_out
+    for f in (2, 3, 5):
+        while b % f == 0:
+            b //= f
+    a = n_out // b
+    if a < least_a or n_out < least_n or b <= least_prime:
+        return None
+    rest = b
+    for f in range(7, least_prime + 1, 2):  # every prime up to least_prime
+        while rest % f == 0:
+            rest //= f
+        if rest == 1 or f * f > rest:
+            break
+    return (a, b) if rest > least_prime else None
 
 
 _held = threading.local()
@@ -120,7 +181,8 @@ class _Handoff:
     """The slot through which one calling thread hands work to the worker,
     reused by all its calls. ``claim`` is free only while work waits in the
     slot, and whichever thread takes it runs the work. ``busy`` is held from
-    the hand-off until the work is over.
+    the hand-off until the work is over, and ``in_use`` is true while a call
+    on the slot's thread has not returned.
 
     A future per call is simpler, but its locks are small mallocs on the
     calling thread. On the benchmark's eeg16k workload (2-vCPU VM) they
@@ -132,6 +194,7 @@ class _Handoff:
         self.claim, self.busy = threading.Lock(), threading.Lock()
         self.claim.acquire()
         self.work = self.result = self.error = None
+        self.in_use = False
 
     def run(self) -> None:
         try:
@@ -157,22 +220,26 @@ def _in_parallel(own, other) -> tuple:
     ``other`` runs in a copy of this thread's context, where numpy keeps its
     ``errstate``. If the worker has not started it by the time ``own`` is
     done, this thread runs it instead; if ``own`` raises, ``other`` is
-    dropped or waited for first."""
+    dropped or waited for first. A call made from inside ``own`` or
+    ``other`` on this thread, whose slot is in use, runs both parts here."""
     global _worker_tasks
+    slot = getattr(_slots, "slot", None)
+    if slot is None:
+        slot = _slots.slot = _Handoff()
+    elif slot.in_use:
+        return own(), other()
     with _worker_lock:
         if _worker_tasks is None:
             _worker_tasks = queue.SimpleQueue()
             threading.Thread(target=_serve, args=(_worker_tasks,), daemon=True,
                              name="bandstack-worker").start()
         tasks = _worker_tasks
-    slot = getattr(_slots, "slot", None)
-    if slot is None:
-        slot = _slots.slot = _Handoff()
     slot.busy.acquire()  # waits only while an interrupted call's work still runs
     slot.work = functools.partial(contextvars.copy_context().run, other)
     slot.result = slot.error = None
     slot.claim.release()
     tasks.put(slot)
+    slot.in_use = True
     own_done = False
     try:
         result = own()
@@ -184,6 +251,7 @@ def _in_parallel(own, other) -> tuple:
             slot.run()
         else:
             slot.work = None
+        slot.in_use = False
         slot.busy.release()
     if slot.error is not None:
         raise slot.error
@@ -206,6 +274,110 @@ def _twiddle_blocks(n: int, start: int, stop: int, m: int, sign: int):
         j1 = min(j0 + m, stop)
         yield j0, j1, np.multiply(table[:j1 - j0], cmath.exp(sign * 2j * math.pi * j0 / n),
                                   out=w[:j1 - j0])
+
+
+def _twiddle_columns(n: int, rows: int, start: int, stop: int, m: int, sign: int):
+    """Yield (j0, j1, w^(r*j) for r < rows and j0 <= j < j1) over columns
+    start..stop in blocks of at most m, with w = exp(sign*2*pi*i/n): one
+    table of w^(r*l) (l < m) times each block's column of w^(r*j0), written
+    into one array that the next block overwrites. The exponents r*j stay
+    below n, so each angle is one rounding of an exact integer. (The quarter
+    paths' ``_twiddle_blocks`` takes its offsets from ``cmath.exp``;
+    folding it into this one would change their bits.)"""
+    r = np.arange(rows)
+    step = sign * 2 * math.pi / n
+    table = np.empty((rows, m), dtype=np.complex128)
+    angle = np.multiply.outer(r, np.arange(m)) * step
+    np.cos(angle, out=table.real)
+    np.sin(angle, out=table.imag)
+    del angle
+    w = np.empty((rows, m), dtype=np.complex128)
+    offset = np.empty((rows, 1), dtype=np.complex128)
+    for j0 in range(start, stop, m):
+        j1 = min(j0 + m, stop)
+        angle = (r * j0)[:, None] * step
+        np.cos(angle, out=offset.real)
+        np.sin(angle, out=offset.imag)
+        yield j0, j1, np.multiply(table[:, :j1 - j0], offset, out=w[:, :j1 - j0])
+
+
+def _split_columns(y: np.ndarray, start: int, stop: int, n: int, inverse: bool) -> None:
+    """Columns start..stop of the split's (a, b//2 + 1) array ``y``, in
+    place: forward, times w^(r*k1) (w = exp(-2*pi*i/n)) and then an a-point
+    ``fft`` of each column; inverse, an a-point ``ifft`` of each column and
+    then times conj(w)^(r*k1). Each block's twiddle table and twiddles take
+    at most half of BLOCK_BYTES, or one column each where a column is more."""
+    a = y.shape[0]
+    m = max(1, min(stop - start, spectrum.BLOCK_BYTES // (2 * 2 * 16 * a)))
+    for j0, j1, w in _twiddle_columns(n, a, start, stop, m, 1 if inverse else -1):
+        block = y[:, j0:j1]
+        if inverse:
+            np.fft.ifft(block, axis=0, out=block)
+        np.multiply(block, w, out=block)
+        if not inverse:
+            np.fft.fft(block, axis=0, out=block)
+
+
+def _split_rfft(x: np.ndarray, out: np.ndarray, a: int, b: int) -> None:
+    """The ``rfft`` of the n = a*b real samples ``x`` into ``out``: row r of
+    an (a, b//2 + 1) array gets the ``rfft`` of samples r, r+a, r+2a, ...;
+    ``_split_columns`` turns column k1 into X[k1 + b*k2] (k2 < a); and bins
+    0..n/2 are read from it, those with k1 > b/2 as conj(X[n - k]). This
+    thread takes the first half of the rows and of the columns, the worker
+    the rest."""
+    n = a * b
+    h1 = b // 2 + 1
+    y = np.empty((a, h1), dtype=np.complex128)
+    rows = x.reshape(b, a).T
+    mid = a - a // 2
+    _in_parallel(lambda: np.fft.rfft(rows[:mid], axis=1, out=y[:mid]),
+                 lambda: np.fft.rfft(rows[mid:], axis=1, out=y[mid:]))
+    _in_parallel(lambda: _split_columns(y, 0, h1 // 2, n, False),
+                 lambda: _split_columns(y, h1 // 2, h1, n, False))
+    # b is odd, so X[k1 + b*k2] for k1 = h1..b-1 is conj(y[a-1-k2, b-k1]),
+    # b - k1 running from b//2 down to 1. Rows k2 < a//2 are whole; the rest
+    # of bins 0..n/2 is one bin (a even) or h1 (a odd) of row a//2.
+    d = a // 2
+    whole = out[:d * b].reshape(d, b)
+    whole[:, :h1] = y[:d]
+    np.conjugate(y[::-1][:d, b // 2:0:-1], out=whole[:, h1:])
+    tail = out[d * b:]
+    tail[:] = y[d, :tail.shape[0]]
+
+
+def _split_irfft(s: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The ``irfft`` of the one-sided spectrum ``s`` of n = a*b points, the
+    imaginary parts of its DC and Nyquist bins dropped (in ``s``, as
+    ``irfft`` drops them): column k1 <= b/2 of an (a, b//2 + 1) array gets
+    S[k1 + b*k2] for k2 < a, the upper half conj(S[n - k]);
+    ``_split_columns`` inverts each column and applies the conjugate
+    twiddles; and row r's ``irfft`` of b points gives samples r, r+a, r+2a,
+    .... This thread takes the first half of the columns and of the rows,
+    the worker the rest."""
+    n = a * b
+    h1 = b // 2 + 1
+    s[0] = s[0].real
+    if n % 2 == 0:
+        s[-1] = s[-1].real
+    windows = np.lib.stride_tricks.sliding_window_view(s, h1)
+    # Rows k2 < (a+1)//2 are direct: S[b*k2 + k1]. Row a - j (j = a//2..1)
+    # is conj(S[b*j - k1]), the window from b*j - b//2 = b*(j-1) + h1 reversed.
+    direct = windows[::b][:(a + 1) // 2]
+    mirrored = windows[h1::b][:a // 2][::-1, ::-1]
+    y = np.empty((a, h1), dtype=np.complex128)
+
+    def columns(start, stop):
+        y[:direct.shape[0], start:stop] = direct[:, start:stop]
+        np.conjugate(mirrored[:, start:stop], out=y[direct.shape[0]:, start:stop])
+        _split_columns(y, start, stop, n, True)
+
+    _in_parallel(lambda: columns(0, h1 // 2), lambda: columns(h1 // 2, h1))
+    samples = np.empty(n)
+    rows = samples.reshape(b, a).T
+    mid = a - a // 2
+    _in_parallel(lambda: np.fft.irfft(y[:mid], b, axis=1, out=rows[:mid]),
+                 lambda: np.fft.irfft(y[mid:], b, axis=1, out=rows[mid:]))
+    return samples
 
 
 def _butterfly(s: np.ndarray, start: int, stop: int) -> None:
@@ -262,7 +434,8 @@ def wideband_inverse(n_out: int, complex_mode: bool, stack) -> tuple:
         # Halving the interior makes the real inverse equal the real part
         # of the complex one, which is what decode's doubling assumes.
         s[1:(n_out + 1) // 2] *= 0.5
-        samples = np.fft.irfft(s, n_out)
+        split = _split(n_out)
+        samples = _split_irfft(s, *split) if split else np.fft.irfft(s, n_out)
         return (float(max(samples.max(), -samples.min())),
                 lambda scale: np.divide(samples, scale, out=samples))
     if not _quartered("inverse", n_out):
@@ -389,7 +562,11 @@ def wideband_forward(s: np.ndarray, scale: float) -> np.ndarray:
     raw = x[:n_out // 2 + 1]
 
     def real_plane():
-        np.fft.rfft(s.real, out=raw)
+        split = None if complex_mode else _split(n_out)
+        if split:
+            _split_rfft(s, raw, *split)
+        else:
+            np.fft.rfft(s.real, out=raw)
         raw[1:(n_out + 1) // 2] *= 2.0
         np.multiply(raw, scale, out=raw)
 

@@ -448,15 +448,22 @@ def write_wideband(signal: WidebandSignal, path, format: Optional[str] = None) -
 
     wav-f32 is for real-mode signals (complex output is not playable);
     raw-f64 keeps complex signals as two planes (real then imaginary) and is
-    bit-exact.
+    bit-exact. ``read_wideband`` counts the planes by the header's mode, so
+    samples whose kind does not match it are refused before any file opens:
+    in raw-f64 here, in wav-f32 by the header (paper-complex) or the WAV
+    writer (complex samples).
     """
     check_type("signal", signal, WidebandSignal)
     fmt = _resolve_format(path, format, "wideband")
     samples = signal.samples
-    sidecar = replace(signal.provenance, data_format=fmt).to_json()  # checked before any write
+    header = signal.provenance
+    sidecar = replace(header, data_format=fmt).to_json()  # checked before any write
     if fmt == "raw-f64":
-        _write_raw(path, np.stack([samples.real, samples.imag]) if signal.is_complex
-                   else samples)
+        complex_mode = header.mode == MODE_PAPER_COMPLEX
+        if signal.is_complex != complex_mode:
+            kind = "complex" if signal.is_complex else "real"
+            raise ValidationError(f"{kind} samples with mode {header.mode!r}: mode mismatch")
+        _write_raw(path, np.stack([samples.real, samples.imag]) if complex_mode else samples)
     else:
         write_wav_f32(path, samples, signal.rate_hz)
     _write_sidecar(path, sidecar)

@@ -10,8 +10,9 @@ Encode and decode (transform.py, and _fft.py for their wideband FFTs)
 call numpy.fft directly. Batches that would need a large temporary stream
 their rows through blocks of about ``BLOCK_BYTES`` (``block_rows``):
 decode's gather and the STFT's frames. Encode's gather, the radix-4 steps
-of both quarter paths and the inverse's peak search walk their bins in
-blocks of it too; which lengths take a quarter path does not depend on it.
+of both quarter paths, the inverse's peak search and the twiddle pass of
+the real modes' split walk their bins in blocks of it too; which lengths
+take a quarter path or the split does not depend on it.
 ``rfft`` and ``irfft`` transform each row on its own, so the block size
 changes no value. ``forward_fft`` and ``hermitian_extend`` are the
 one-channel reference path: the tests and the benchmark's replay check

@@ -37,8 +37,10 @@ exact power of two recorded in the provenance, so descaling at decode is
 bit-exact and WAV export never clips.
 
 The wideband FFTs and decode's channel inverses run in ``bandstack._fft``,
-on this thread and one shared worker thread, and its length rule puts the
-long paper-complex ones on four quarter-length FFTs. Encode stacks into, and
+on this thread and one shared worker thread. Its length rules put the
+long paper-complex ones on four quarter-length FFTs, and real-mode ones of
+lengths with a large prime factor on a split into two batches of shorter
+FFTs. Encode stacks into, and
 decode transforms into, its held spectrum of at most 16*n_out bytes per
 thread. Beside it, each call allocates the arrays below, and the signal or
 record adopts and locks the one it returns instead of copying it, so that
@@ -48,15 +50,17 @@ array is fresh, read-only and never shares the held spectrum.
     the inverse, and one block at a time of the plan's read-only source
     map, which ``np.take`` copies because it cannot write it; then the
     samples it returns: in the real modes the ``irfft`` output, scaled in
-    place; in paper-complex one scaled copy of the held spectrum (after the
-    n_out magnitudes that find its peak), or on the quarter path the four
-    quarters interleaved, with no n_out temporary.
+    place (on the split, beside an (a, b//2 + 1) complex array of about
+    8*n_out bytes); in paper-complex one scaled copy of the held spectrum
+    (after the n_out magnitudes that find its peak), or on the quarter path
+    the four quarters interleaved, with no n_out temporary.
   * decode - the (p, n) channels it returns, which the batched ``irfft``
     writes directly, block by block, and on each of its two threads one
     block's complex gather of its channels' n//2 + 1 bins at a time
     (``spectrum.block_rows``: at most half of 1 MiB, so each thread takes
     15 of 30 channels of n = 10000 in three blocks of 5), and nothing of
-    n_out size on the quarter path.
+    n_out size on the quarter path (on the real modes' split, an
+    (a, b//2 + 1) complex array of about 8*n_out bytes).
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """The wideband FFTs of bandstack._fft against numpy.fft, on arrays alone:
-lengths on both sides of each quarter path's threshold, the largest scale,
-and the worker thread's hand-offs."""
+lengths on both sides of each quarter path's threshold and of the real-mode
+split's rule, the largest scale, and the worker thread's hand-offs."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -21,9 +23,20 @@ _FORWARD_LENGTHS = {65540: False, 262136: False, 262140: False, 262144: True,
                     262145: False, 262148: False, 262152: True}
 
 
+# n_out -> (a, b) where the real modes split it, else None: 5-smooth parts
+# a of 4 to 480, b prime (odd n_out at 10,015), and off the rule below the
+# floor (4,036), at a = 2 (250,006), at a largest prime factor of 251
+# (251,000) and at the inverse's and forward's lengths above.
+_SPLIT_LENGTHS = {4036: None, 8012: (4, 2003), 10015: (5, 2003), 16144: (16, 1009),
+                  250006: None, 250064: (16, 15629), 250080: (480, 521), 251000: None,
+                  262148: (4, 65537),
+                  **{n: None for n in {**_INVERSE_LENGTHS, **_FORWARD_LENGTHS} if n != 262148}}
+
+
 def test_the_lengths_fall_each_side_of_the_rule():
     assert {n: _fft._quartered("inverse", n) for n in _INVERSE_LENGTHS} == _INVERSE_LENGTHS
     assert {n: _fft._quartered("forward", n) for n in _FORWARD_LENGTHS} == _FORWARD_LENGTHS
+    assert {n: _fft._split(n) for n in _SPLIT_LENGTHS} == _SPLIT_LENGTHS
 
 
 def _one_sided(n_out, seed):
@@ -66,16 +79,22 @@ def test_paper_complex_inverse_matches_one_ifft(n_out):
         assert samples.tobytes() == np.divide(want, scale).tobytes()
 
 
-@pytest.mark.parametrize("n_out", sorted(_INVERSE_LENGTHS))
+@pytest.mark.parametrize("n_out", sorted(set(_INVERSE_LENGTHS) | set(_SPLIT_LENGTHS)))
 def test_real_inverse_matches_one_irfft(n_out):
+    # _one_sided gives DC and Nyquist imaginary parts, which irfft drops
     full = _one_sided(n_out, 1)
     halved = full[:n_out // 2 + 1].copy()
     halved[1:(n_out + 1) // 2] *= 0.5
     want = np.fft.irfft(halved, n_out)
     peak, samples = _inverse(full, False, 4.0)
-    assert peak == float(np.abs(want).max())
     assert samples.dtype == np.float64
-    assert samples.tobytes() == np.divide(want, 4.0).tobytes()
+    if _fft._split(n_out):
+        top = np.abs(want).max()
+        assert abs(peak - top) <= 1e-14 * top
+        assert np.abs(samples * 4.0 - want).max() <= 1e-14 * top
+    else:
+        assert peak == float(np.abs(want).max())
+        assert samples.tobytes() == np.divide(want, 4.0).tobytes()
 
 
 def _forward(s, scale):
@@ -106,10 +125,14 @@ def test_paper_complex_forward_matches_one_rfft(n_out, scale):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n_out", sorted(_FORWARD_LENGTHS))
+@pytest.mark.parametrize("n_out", sorted(set(_FORWARD_LENGTHS) | set(_SPLIT_LENGTHS)))
 def test_real_forward_matches_one_rfft(n_out):
     s = _noise(n_out, False)
-    assert _forward(s, 2.0 ** -5).tobytes() == one_rfft_spectrum(s, 2.0 ** -5).tobytes()
+    got, want = _forward(s, 2.0 ** -5), one_rfft_spectrum(s, 2.0 ** -5)
+    if _fft._split(n_out):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 7])
@@ -165,6 +188,12 @@ def _every_call():
                       lambda full=full: _inverse(full, True, 0.5)[1].tobytes()))
         s = _noise(n_out, True, 3)
         calls.append((f"forward {n_out}", lambda s=s: _forward(s, 2.0).tobytes()))
+    for n_out in (10015, 16144):
+        full = _one_sided(n_out, 2)
+        calls.append((f"real inverse {n_out}",
+                      lambda full=full: _inverse(full, False, 0.5)[1].tobytes()))
+        s = _noise(n_out, False, 3)
+        calls.append((f"real forward {n_out}", lambda s=s: _forward(s, 2.0).tobytes()))
     rng = np.random.default_rng(4)
     raw = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     index = rng.integers(0, 300, size=(7, 51))
@@ -180,10 +209,12 @@ def _rows(raw, index):
 
 # Hand-offs per call: the inverse's quarter path splits its butterfly, its
 # inverses and its samples; the forward quarter path its quarter rffts and
-# its combine; the forward's one rfft its edge sums; invert_rows its rows.
+# its combine; the forward's one rfft its edge sums; the real-mode split its
+# rows and its columns; invert_rows its rows.
 _HANDOFFS = {"inverse 65540": 3, "forward 65540": 1, "inverse 65536": 3,
              "forward 65536": 1, "inverse 262144": 3, "forward 262144": 2,
-             "invert_rows": 1}
+             "real inverse 10015": 2, "real forward 10015": 2,
+             "real inverse 16144": 2, "real forward 16144": 2, "invert_rows": 1}
 
 
 @pytest.mark.parametrize("order", ["own first", "other first"])
@@ -197,3 +228,34 @@ def test_one_thread_gives_the_bytes_of_two(order, monkeypatch):
             got = call()
         assert len(handoffs) == _HANDOFFS[name], name
         assert got == want[name], name
+
+
+def test_a_call_inside_own_gets_its_own_results():
+    # The inner call runs on this thread's slot's thread while the outer
+    # one's other part may still be out; each call returns its own parts.
+    inner = lambda: _fft._in_parallel(lambda: "inner-own", lambda: "inner-other")
+    assert _fft._in_parallel(inner, lambda: "outer-other") == (
+        ("inner-own", "inner-other"), "outer-other")
+
+
+def test_a_call_inside_other_on_the_calling_thread_runs_here():
+    # With the worker held, the caller takes its other part back and runs
+    # it, and the call that part makes runs both of its parts here too.
+    _fft._in_parallel(lambda: None, lambda: None)  # the worker runs
+    release = threading.Event()
+    blocker = _fft._Handoff()
+    blocker.busy.acquire()
+    blocker.work = release.wait
+    blocker.claim.release()
+    _fft._worker_tasks.put(blocker)
+    threads, results = [], []
+    inner = lambda: (threads.append(threading.current_thread()),
+                     _fft._in_parallel(lambda: "inner-own", lambda: "inner-other"))[1]
+    caller = threading.Thread(target=lambda: results.append(
+        _fft._in_parallel(lambda: "own", inner)), daemon=True)
+    caller.start()
+    caller.join(10)  # a call that waits on its own slot never returns
+    release.set()
+    assert not caller.is_alive()
+    assert results == [("own", ("inner-own", "inner-other"))]
+    assert threads == [caller]

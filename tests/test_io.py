@@ -621,6 +621,19 @@ def test_complex_mode_refuses_wav(tmp_path):
     assert not list(tmp_path.glob("no.wav*"))
 
 
+def test_raw_wideband_refuses_samples_its_mode_does_not_hold(tmp_path):
+    # The reader counts raw-f64 planes by the header's mode: one plane under
+    # a paper-complex header, or two under a real-mode one, reads back refused.
+    _, real = _encode_small()
+    _, pc = _encode_small(mode=MODE_PAPER_COMPLEX)
+    forged = (WidebandSignal(real.samples, real.rate_hz, pc.provenance),
+              WidebandSignal(pc.samples, pc.rate_hz, real.provenance))
+    for signal, kind in zip(forged, ("real", "complex")):
+        with pytest.raises(ValidationError, match=f"{kind} samples with mode .*: mode mismatch"):
+            bio.write_wideband(signal, tmp_path / "no.f64")
+        assert not list(tmp_path.glob("no.f64*"))
+
+
 def test_wav_wideband_quantization_bound(tmp_path):
     rec, sig = _encode_small()
     path = tmp_path / "wide.wav"

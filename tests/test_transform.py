@@ -866,3 +866,75 @@ def test_quarter_paths_are_bitwise_pinned(monkeypatch):
     for shape in _QUARTER_SHAPES + _DECODE_QUARTER_SHAPES:
         _pin_quarter_case(digest, *shape)
     assert digest.hexdigest() == _QUARTER_PIN_DIGEST
+
+
+# (p, n, F_s / f_s) whose n_out takes the real modes' split at the default
+# rule: n a prime, twice and four times that prime (n_out = 16*1009, 32*1009
+# and 64*1009), and the odd n_out = 5 * 2003.
+_SPLIT_RECORDS = ((2, 1009, 16), (2, 2018, 16), (3, 4036, 16), (2, 2003, 5))
+_REAL_MODES = (MODE_REAL_HERMITIAN, MODE_STRICT_LOSSLESS)
+
+
+def _split_case(p, n, ratio, mode):
+    rng = np.random.default_rng([p, n, ratio])
+    rec = MultiChannelRecord(rng.standard_normal((p, n)), float(n))
+    return rng, rec, _cfg(p, float(ratio * n), mode)
+
+
+def test_the_benchmark_and_pinned_lengths_stay_off_the_split():
+    # wide64-complex's and eeg16k-model-feed's n_out, then the pinned ones
+    lengths = ((983_040, 160_000) + tuple(n_out for _, _, n_out in _PIN_SHAPES)
+               + _QUARTER_PIN_LENGTHS)
+    assert [n_out for n_out in lengths if _fft._split(n_out)] == []
+
+
+@pytest.mark.parametrize("mode", _REAL_MODES)
+@pytest.mark.parametrize("p, n, ratio", _SPLIT_RECORDS)
+def test_split_lengths_round_trip_like_one_fft(p, n, ratio, mode, monkeypatch):
+    _, rec, config = _split_case(p, n, ratio, mode)
+    sig = encode(rec, config)
+    assert _fft._split(sig.n_out)
+    back = decode(sig)
+    assert rel_max_err(back.channels, rec.channels) < 1e-9
+    monkeypatch.setattr(_fft, "_SPLIT", (4, 500, float("inf")))  # one FFT each way
+    one = encode(rec, config)
+    assert one.provenance == sig.provenance
+    assert np.abs(sig.samples - one.samples).max() <= 1e-14 * np.abs(one.samples).max()
+    want = decode(sig).channels
+    assert np.abs(back.channels - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_split_decode_holds_its_channels_one_array_and_one_block():
+    # beside this thread's scratch: the (a, b//2 + 1) array of row rffts and
+    # at most half a block of twiddles on each thread
+    p, n, ratio = _SPLIT_RECORDS[2]
+    _, rec, config = _split_case(p, n, ratio, MODE_REAL_HERMITIAN)
+    sig = encode(rec, config)
+    a, b = _fft._split(sig.n_out)
+    decode(sig)  # builds the plan and this thread's scratch
+    tracemalloc.start()
+    try:
+        back = decode(sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel_max_err(back.channels, rec.channels) < 1e-9
+    assert peak <= back.channels.nbytes + 16 * a * (b // 2 + 1) + spectrum.BLOCK_BYTES + 2 ** 16
+
+
+# sha256 of the encoded samples, sidecars and decoded channels (encoded and
+# noise signals) of _SPLIT_RECORDS in both real modes.
+_SPLIT_PIN_DIGEST = "133a8708dbdfe32d3b5f04963b7c246640fc00781573fe5d0d24de7f37710985"
+
+
+def test_the_split_is_bitwise_pinned():
+    digest = hashlib.sha256()
+    for (p, n, ratio), mode in itertools.product(_SPLIT_RECORDS, _REAL_MODES):
+        rng, rec, config = _split_case(p, n, ratio, mode)
+        sig = encode(rec, config)
+        noise = rng.standard_normal(sig.n_out)
+        digest.update(sig.samples.tobytes())
+        digest.update(sig.provenance.to_json().encode())
+        for signal in (sig, WidebandSignal(noise, sig.rate_hz, sig.provenance)):
+            digest.update(decode(signal).channels.tobytes())
+    assert digest.hexdigest() == _SPLIT_PIN_DIGEST
